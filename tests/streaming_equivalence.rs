@@ -102,6 +102,29 @@ fn streamed_covar_bit_equals_resident_on_retailer() {
 }
 
 #[test]
+fn streamed_covar_bit_equals_resident_without_a_trie_prefix() {
+    // The running example cut to 3 fact rows: every dimension has more
+    // keys than rows/2, so the trie-family level analysis hoists no
+    // prefix and the streamed Trie/SortedTrie take their single-leaf path.
+    let ds = Dataset {
+        name: "running-example-3",
+        db: ifaq_engine::star::running_example_star().take_fact(3),
+        features: vec!["city".into(), "price".into()],
+        label: "units".into(),
+        test_fraction: 0.0,
+    };
+    let plan = covar_plan(&ds.db, &ds.feature_refs(), &ds.label);
+    for layout in [Layout::Trie, Layout::SortedTrie] {
+        let resident = prepare(layout, &plan, &ds.db).explain_tree();
+        let streamed = prepare_streaming(layout, &plan, &ds.db, ds.db.fact.len()).explain_tree();
+        for text in [resident, streamed] {
+            assert!(text.contains("prefix []"), "{layout}: {text}");
+        }
+    }
+    check_streamed_equals_resident(&ds, "no_prefix");
+}
+
+#[test]
 fn linreg_trained_from_stream_matches_materialized() {
     let ds = favorita(1_500, 43);
     let features = ds.feature_refs();
