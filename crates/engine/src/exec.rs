@@ -1,13 +1,12 @@
 //! The executor-trait plan-node architecture: aggregate-batch execution
 //! as a tree of [`Executor`] nodes instead of a layout-tagged dispatch.
 //!
-//! Prior to this module, the 8 physical layouts (§4.3–4.4 of the paper)
-//! lived as ~32 free functions in [`crate::physical`] behind two
-//! layout-tagged `enum` dispatches — one for resident execution
-//! ([`crate::layout`]), one for streaming ([`crate::stream`]) — and every
-//! new capability (iterative logistic training, incremental deltas,
-//! out-of-core streaming) had to re-touch all of them with another 8-way
-//! `match`. This module replaces the dispatch with composition, the
+//! The 8 physical layouts (§4.3–4.4 of the paper) are kernels in
+//! [`crate::physical`] — a `prepare_*` / `exec_*_prepared` pair each — and
+//! this module is the only way to run them: a new capability (iterative
+//! logistic training, incremental deltas, out-of-core streaming) touches
+//! one tree instead of an 8-way `match` per entry point. This module
+//! replaces layout-tagged dispatch with composition, the
 //! shape polars' `physical_plan::executors` uses: plan nodes **own their
 //! prepared state**, compose into a tree, and thread an
 //! [`ExecutionState`] through both phases of execution.
@@ -30,10 +29,12 @@
 //! views, dense arrays, the fact trie, the sorted order, …) and knowing
 //! how to run its fused multi-aggregate scan over either input mode.
 //! The numeric kernels themselves stay in [`crate::physical`]: a node is
-//! *state + orchestration*, so resident execution calls the very same
-//! `exec_*_prepared` kernels as before and every bit-identity guarantee
-//! (across thread counts, across prepare reuse, across streaming) holds
-//! **by construction** rather than by re-verification.
+//! *state + orchestration*, so resident execution calls the
+//! `exec_*_prepared` kernels, the row-sharded streamed paths call the
+//! same kernels once per chunk, and every bit-identity guarantee (across
+//! thread counts, across prepare reuse, across streaming) holds **by
+//! construction** rather than by re-verification. Nodes never mutate in
+//! `execute`, so one prepared tree serves concurrent executes.
 //!
 //! ## prepare / execute
 //!
@@ -107,12 +108,11 @@ use crate::layout::Layout;
 use crate::par::ExecConfig;
 use crate::physical;
 use crate::star::StarDb;
-use crate::stream::{self, StreamSource, StreamStats};
+use crate::stream::{self, ChunkMap, StreamSource, StreamStats};
 use ifaq_ir::Sym;
 use ifaq_query::batch::AggBatch;
 use ifaq_query::ViewPlan;
 use ifaq_storage::stream::ExportError;
-use ifaq_storage::ColRelation;
 use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
@@ -120,7 +120,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The result of executing a (sub)tree: one f64 per plan term, in term
-/// order — the same vector every `exec_*` kernel has always produced.
+/// order — the same vector every `exec_*_prepared` kernel produces.
 pub type AggResults = Vec<f64>;
 
 /// An execution error. Staleness (wrong layout/plan/generation/shape) is
@@ -182,6 +182,35 @@ pub enum Source<'a> {
     /// at prepare time as shorthand for
     /// `StreamSchema { schema: src.schema_db(), fact_rows: src.fact_rows() }`.
     Stream(&'a StreamSource),
+}
+
+impl<'a> Source<'a> {
+    /// The database holding the dimension tables: the resident database,
+    /// or the stream's schema database.
+    fn dims_db(&self) -> &'a StarDb {
+        match *self {
+            Source::Resident(db) => db,
+            Source::StreamSchema { schema, .. } => schema,
+            Source::Stream(src) => src.schema_db(),
+        }
+    }
+
+    /// The fact row count: resident rows, or the on-disk count.
+    fn fact_rows(&self) -> usize {
+        match *self {
+            Source::Resident(db) => db.fact.len(),
+            Source::StreamSchema { fact_rows, .. } => fact_rows,
+            Source::Stream(src) => src.fact_rows(),
+        }
+    }
+
+    /// The resident database, if this is one.
+    fn resident(&self) -> Option<&'a StarDb> {
+        match *self {
+            Source::Resident(db) => Some(db),
+            _ => None,
+        }
+    }
 }
 
 /// A prepared-subtree cache keyed by θ-free node fingerprint: shared,
@@ -258,7 +287,7 @@ pub struct ExecutionState<'a> {
     cfg: ExecConfig,
     cache: Option<&'a PrepCache>,
     virtual_cols: &'a [Sym],
-    map_chunk: Option<&'a mut (dyn FnMut(usize, ColRelation) -> ColRelation + 'a)>,
+    map_chunk: Option<&'a mut ChunkMap<'a>>,
     stream_stats: Option<StreamStats>,
     prepares: usize,
 }
@@ -298,10 +327,7 @@ impl<'a> ExecutionState<'a> {
 
     /// Attaches a per-chunk relation transform (streaming only), e.g.
     /// the logistic trainer's per-chunk `__sigma` computation.
-    pub fn with_map_chunk(
-        mut self,
-        map: &'a mut (dyn FnMut(usize, ColRelation) -> ColRelation + 'a),
-    ) -> Self {
+    pub fn with_map_chunk(mut self, map: &'a mut ChunkMap<'a>) -> Self {
         self.map_chunk = Some(map);
         self
     }
@@ -340,21 +366,19 @@ impl<'a> ExecutionState<'a> {
         }
     }
 
-    /// Runs `f` with the streaming extras (config, virtual columns, and
-    /// the chunk transform or an identity fallback).
-    fn with_stream_parts<R>(
+    /// Runs a streamed execute with this call's config, virtual columns
+    /// and chunk transform, and records its [`StreamStats`].
+    fn streamed(
         &mut self,
-        f: impl FnOnce(
+        run: impl FnOnce(
             &ExecConfig,
             &[Sym],
-            &mut (dyn FnMut(usize, ColRelation) -> ColRelation + '_),
-        ) -> R,
-    ) -> R {
-        let mut ident = |_start: usize, rel: ColRelation| rel;
-        match self.map_chunk.as_deref_mut() {
-            Some(m) => f(&self.cfg, self.virtual_cols, m),
-            None => f(&self.cfg, self.virtual_cols, &mut ident),
-        }
+            Option<&mut ChunkMap<'a>>,
+        ) -> Result<(AggResults, StreamStats), ExportError>,
+    ) -> Result<AggResults, ExecError> {
+        let (acc, stats) = run(&self.cfg, self.virtual_cols, self.map_chunk.as_deref_mut())?;
+        self.stream_stats = Some(stats);
+        Ok(acc)
     }
 }
 
@@ -386,8 +410,10 @@ fn dim_fingerprint(kind: &str, layout: Layout, plan: &ViewPlan, db: &StarDb) -> 
 /// `prepare` builds everything θ-free exactly once (idempotent: calling
 /// it again rebuilds against the current source). `execute` runs only
 /// the θ-dependent scan and may be called any number of times per
-/// preparation. `describe` renders the node's one-line summary for
-/// [`PlanTree::explain`].
+/// preparation; it never mutates the node, so one prepared tree serves
+/// concurrent executes from many threads (and, holding no interior
+/// mutability, stays unwind-safe). `describe` renders the node's
+/// one-line summary for [`PlanTree::explain`].
 ///
 /// Trees built by [`build_tree`] drive the trait directly; the root is
 /// always an `AggregateNode`, so `execute` on the root returns one value
@@ -413,7 +439,7 @@ fn dim_fingerprint(kind: &str, layout: Layout, plan: &ViewPlan, db: &StarDb) -> 
 /// // The root node names itself through the trait:
 /// assert!(tree.explain().starts_with("Aggregate["));
 /// ```
-pub trait Executor: Send {
+pub trait Executor: Send + Sync + std::panic::RefUnwindSafe {
     /// Stable node-kind name (used in errors and fingerprints).
     fn name(&self) -> &'static str;
 
@@ -421,7 +447,7 @@ pub trait Executor: Send {
     fn prepare(&mut self, state: &mut ExecutionState<'_>) -> Result<(), ExecError>;
 
     /// Runs the θ-dependent scan and returns one value per plan term.
-    fn execute(&mut self, state: &mut ExecutionState<'_>) -> Result<AggResults, ExecError>;
+    fn execute(&self, state: &mut ExecutionState<'_>) -> Result<AggResults, ExecError>;
 
     /// One-line self-description for the explain tree.
     fn describe(&self) -> String;
@@ -519,15 +545,14 @@ impl Executor for ScanNode {
                 db_shape: db_shape(db),
                 db_generation: db.generation(),
             },
-            Source::StreamSchema { fact_rows, .. } => ScanPrep::Streamed { fact_rows },
-            Source::Stream(src) => ScanPrep::Streamed {
-                fact_rows: src.fact_rows(),
+            source => ScanPrep::Streamed {
+                fact_rows: source.fact_rows(),
             },
         });
         Ok(())
     }
 
-    fn execute(&mut self, state: &mut ExecutionState<'_>) -> Result<AggResults, ExecError> {
+    fn execute(&self, state: &mut ExecutionState<'_>) -> Result<AggResults, ExecError> {
         let prep = self.prep.as_ref().ok_or(ExecError::Unprepared("scan"))?;
         match (prep, state.source) {
             (
@@ -596,14 +621,6 @@ impl Executor for ScanNode {
 // Per-layout join/view nodes
 // ---------------------------------------------------------------------------
 
-/// Adds a streamed chunk's per-chunk partial into the running totals —
-/// the fixed-chunk fold the row-sharded layouts share.
-fn add_partial(acc: &mut [f64], partial: Vec<f64>) {
-    for (a, v) in acc.iter_mut().zip(partial) {
-        *a += v;
-    }
-}
-
 macro_rules! shared_prep_node {
     ($node:ident, $kind:literal, $label:literal, $layout:expr, $prep_ty:ty,
      $prepare_fn:path, $exec_fn:path) => {
@@ -635,43 +652,27 @@ macro_rules! shared_prep_node {
             fn prepare(&mut self, state: &mut ExecutionState<'_>) -> Result<(), ExecError> {
                 self.scan.prepare(state)?;
                 state.note_prepare();
-                let source = state.source;
-                let plan = &self.plan;
-                self.prep = Some(match source {
-                    Source::Resident(db) => state
-                        .dim_state(dim_fingerprint($kind, $layout, plan, db), || {
-                            $prepare_fn(plan, db)
-                        }),
-                    Source::StreamSchema { schema, .. } => state
-                        .dim_state(dim_fingerprint($kind, $layout, plan, schema), || {
-                            $prepare_fn(plan, schema)
-                        }),
-                    Source::Stream(src) => {
-                        let schema = src.schema_db();
-                        state.dim_state(dim_fingerprint($kind, $layout, plan, schema), || {
-                            $prepare_fn(plan, schema)
-                        })
-                    }
-                });
+                let (plan, schema) = (&self.plan, state.source.dims_db());
+                self.prep = Some(
+                    state.dim_state(dim_fingerprint($kind, $layout, plan, schema), || {
+                        $prepare_fn(plan, schema)
+                    }),
+                );
                 Ok(())
             }
 
-            fn execute(&mut self, state: &mut ExecutionState<'_>) -> Result<AggResults, ExecError> {
+            fn execute(&self, state: &mut ExecutionState<'_>) -> Result<AggResults, ExecError> {
                 self.scan.execute(state)?;
                 let prep = self.prep.as_ref().ok_or(ExecError::Unprepared($kind))?;
+                let plan = &self.plan;
                 match state.source {
-                    Source::Resident(db) => Ok($exec_fn(&self.plan, db, prep, state.cfg())),
-                    Source::Stream(src) => {
-                        let plan = &self.plan;
-                        let (acc, stats) = state.with_stream_parts(|cfg, vcols, mc| {
-                            let serial = ExecConfig::serial();
-                            stream::run_row_stream(plan, src, cfg, vcols, mc, &mut |work, acc| {
-                                add_partial(acc, $exec_fn(plan, work, prep, &serial));
-                            })
-                        })?;
-                        state.stream_stats = Some(stats);
-                        Ok(acc)
-                    }
+                    Source::Resident(db) => Ok($exec_fn(plan, db, prep, state.cfg())),
+                    Source::Stream(src) => state.streamed(|cfg, vcols, map| {
+                        let serial = ExecConfig::serial();
+                        stream::fold_chunks(plan, src, cfg, vcols, map, &mut |work| {
+                            $exec_fn(plan, work, prep, &serial)
+                        })
+                    }),
                     Source::StreamSchema { .. } => Err(ExecError::SourceMismatch($kind)),
                 }
             }
@@ -757,13 +758,7 @@ impl Executor for PushdownNode {
     fn prepare(&mut self, state: &mut ExecutionState<'_>) -> Result<(), ExecError> {
         self.scan.prepare(state)?;
         state.note_prepare();
-        let source = state.source;
-        let plan = &self.plan;
-        let schema = match source {
-            Source::Resident(db) => db,
-            Source::StreamSchema { schema, .. } => schema,
-            Source::Stream(src) => src.schema_db(),
-        };
+        let (plan, schema) = (&self.plan, state.source.dims_db());
         self.prep = Some(state.dim_state(
             dim_fingerprint("pushdown", Layout::Pushdown, plan, schema),
             || physical::prepare_pushdown(plan, schema),
@@ -771,49 +766,40 @@ impl Executor for PushdownNode {
         Ok(())
     }
 
-    fn execute(&mut self, state: &mut ExecutionState<'_>) -> Result<AggResults, ExecError> {
+    fn execute(&self, state: &mut ExecutionState<'_>) -> Result<AggResults, ExecError> {
         self.scan.execute(state)?;
         let prep = self
             .prep
             .as_ref()
             .ok_or(ExecError::Unprepared("pushdown"))?;
+        let plan = &self.plan;
         match state.source {
             Source::Resident(db) => Ok(physical::exec_pushdown_prepared(
-                &self.plan,
+                plan,
                 db,
                 prep,
                 state.cfg(),
             )),
-            Source::Stream(src) => {
-                let plan = &self.plan;
-                let nterms = plan.terms.len();
-                let (acc, stats) = state.with_stream_parts(|cfg, vcols, mc| {
-                    stream::run_row_stream(plan, src, cfg, vcols, mc, &mut |work, acc| {
-                        // Per-term accumulators live in `acc` and carry
-                        // across chunks — the unbroken sequential fold.
-                        let bounds = physical::bind_dims(plan, work);
-                        let fa = physical::FactAccess::bind(plan, work);
-                        let n = work.fact.len();
-                        'row: for i in 0..n {
-                            for t in 0..nterms {
-                                let mut v = fa[t].eval(i);
-                                if v == 0.0 {
-                                    continue;
-                                }
-                                for (b, view) in bounds.iter().zip(&prep.views[t]) {
-                                    match view.get(&b.fact_keys[i]) {
-                                        Some(&pv) => v *= pv,
-                                        None => continue 'row,
-                                    }
-                                }
-                                acc[t] += v;
-                            }
-                        }
-                    })
+            Source::Stream(src) => state.streamed(|cfg, vcols, map| {
+                let mut acc = vec![0.0; plan.terms.len()];
+                let proj = stream::file_projection(plan, src, false, vcols);
+                let stats = stream::run_row_stream(src, cfg, &proj, map, &mut |work| {
+                    // Per-term accumulators carry across chunks — the
+                    // unbroken sequential fold.
+                    let bounds = physical::bind_dims(plan, work);
+                    let fa = physical::FactAccess::bind(plan, work);
+                    for (t, a) in acc.iter_mut().enumerate() {
+                        *a = physical::pushdown_fold(
+                            &bounds,
+                            &prep.views[t],
+                            &fa[t],
+                            work.fact.len(),
+                            *a,
+                        );
+                    }
                 })?;
-                state.stream_stats = Some(stats);
-                Ok(acc)
-            }
+                Ok((acc, stats))
+            }),
             Source::StreamSchema { .. } => Err(ExecError::SourceMismatch("pushdown")),
         }
     }
@@ -867,15 +853,10 @@ impl Executor for MaterializedNode {
     fn prepare(&mut self, state: &mut ExecutionState<'_>) -> Result<(), ExecError> {
         self.scan.prepare(state)?;
         state.note_prepare();
-        let source = state.source;
-        self.state = Some(match source {
+        self.state = Some(match state.source {
             Source::Resident(db) => MatState::Resident(physical::prepare_materialized(db)),
-            Source::StreamSchema { schema, .. } => MatState::Streamed(state.dim_state(
-                dim_fingerprint("materialized", Layout::Materialized, &self.plan, schema),
-                || schema.dims.iter().map(|d| d.key_index()).collect(),
-            )),
-            Source::Stream(src) => {
-                let schema = src.schema_db();
+            source => {
+                let schema = source.dims_db();
                 MatState::Streamed(state.dim_state(
                     dim_fingerprint("materialized", Layout::Materialized, &self.plan, schema),
                     || schema.dims.iter().map(|d| d.key_index()).collect(),
@@ -885,23 +866,21 @@ impl Executor for MaterializedNode {
         Ok(())
     }
 
-    fn execute(&mut self, state: &mut ExecutionState<'_>) -> Result<AggResults, ExecError> {
+    fn execute(&self, state: &mut ExecutionState<'_>) -> Result<AggResults, ExecError> {
         self.scan.execute(state)?;
         let prep = self
             .state
             .as_ref()
             .ok_or(ExecError::Unprepared("materialized"))?;
+        let plan = &self.plan;
         match (prep, state.source) {
             (MatState::Resident(p), Source::Resident(db)) => Ok(
-                physical::exec_materialized_prepared(&self.plan, db, p, state.cfg()),
+                physical::exec_materialized_prepared(plan, db, p, state.cfg()),
             ),
             (MatState::Streamed(key_indexes), Source::Stream(src)) => {
-                let plan = &self.plan;
-                let (acc, stats) = state.with_stream_parts(|cfg, vcols, mc| {
-                    stream::run_materialized_stream(plan, src, key_indexes, cfg, vcols, mc)
-                })?;
-                state.stream_stats = Some(stats);
-                Ok(acc)
+                state.streamed(|cfg, vcols, map| {
+                    stream::stream_materialized(plan, src, key_indexes, cfg, vcols, map)
+                })
             }
             _ => Err(ExecError::SourceMismatch("materialized")),
         }
@@ -949,16 +928,11 @@ pub struct TrieNode {
     state: Option<TrieState>,
 }
 
-enum TrieState {
-    Resident {
-        trie: physical::FactTrie,
-        views: Arc<Vec<HashMap<i64, Vec<f64>>>>,
-        kp: physical::KeyPlan,
-    },
-    Streamed {
-        views: Arc<Vec<HashMap<i64, Vec<f64>>>>,
-        kp: physical::KeyPlan,
-    },
+struct TrieState {
+    views: Arc<Vec<HashMap<i64, Vec<f64>>>>,
+    kp: physical::KeyPlan,
+    /// The fact trie; `None` when prepared for streaming.
+    trie: Option<physical::FactTrie>,
 }
 
 impl TrieNode {
@@ -980,61 +954,43 @@ impl Executor for TrieNode {
     fn prepare(&mut self, state: &mut ExecutionState<'_>) -> Result<(), ExecError> {
         self.scan.prepare(state)?;
         state.note_prepare();
-        let source = state.source;
-        let plan = &self.plan;
-        self.state = Some(match source {
-            Source::Resident(db) => {
-                let views = state
-                    .dim_state(dim_fingerprint("trie", Layout::Trie, plan, db), || {
-                        physical::build_merged_views(plan, db)
-                    });
-                let kp = physical::key_plan(plan, db);
-                let trie = physical::build_fact_trie_from(&kp, db);
-                TrieState::Resident { trie, views, kp }
-            }
-            Source::StreamSchema { schema, fact_rows } => TrieState::Streamed {
-                views: state.dim_state(dim_fingerprint("trie", Layout::Trie, plan, schema), || {
-                    physical::build_merged_views(plan, schema)
-                }),
-                kp: physical::key_plan_with_rows(plan, schema, fact_rows),
-            },
-            Source::Stream(src) => {
-                let schema = src.schema_db();
-                TrieState::Streamed {
-                    views: state
-                        .dim_state(dim_fingerprint("trie", Layout::Trie, plan, schema), || {
-                            physical::build_merged_views(plan, schema)
-                        }),
-                    kp: physical::key_plan_with_rows(plan, schema, src.fact_rows()),
-                }
-            }
+        let (plan, source) = (&self.plan, state.source);
+        let schema = source.dims_db();
+        let views = state.dim_state(dim_fingerprint("trie", Layout::Trie, plan, schema), || {
+            physical::build_merged_views(plan, schema)
         });
+        let kp = physical::key_plan(plan, schema, source.fact_rows());
+        let trie = source
+            .resident()
+            .map(|db| physical::build_fact_trie_from(&kp, db));
+        self.state = Some(TrieState { views, kp, trie });
         Ok(())
     }
 
-    fn execute(&mut self, state: &mut ExecutionState<'_>) -> Result<AggResults, ExecError> {
+    fn execute(&self, state: &mut ExecutionState<'_>) -> Result<AggResults, ExecError> {
         self.scan.execute(state)?;
         let prep = self.state.as_ref().ok_or(ExecError::Unprepared("trie"))?;
-        match (prep, state.source) {
-            (TrieState::Resident { trie, views, kp }, Source::Resident(db)) => Ok(
-                physical::exec_trie_parts(&self.plan, db, trie, views, kp, state.cfg()),
-            ),
-            (TrieState::Streamed { views, kp }, Source::Stream(src)) => {
-                let plan = &self.plan;
-                let (acc, stats) = state.with_stream_parts(|cfg, vcols, mc| {
-                    stream::run_trie_stream(plan, src, views, kp, cfg, vcols, mc)
-                })?;
-                state.stream_stats = Some(stats);
-                Ok(acc)
-            }
+        let (plan, views, kp) = (&self.plan, &prep.views, &prep.kp);
+        match (&prep.trie, state.source) {
+            (Some(trie), Source::Resident(db)) => Ok(physical::exec_trie_parts(
+                plan,
+                db,
+                trie,
+                views,
+                kp,
+                state.cfg(),
+            )),
+            (None, Source::Stream(src)) => state.streamed(|cfg, vcols, map| {
+                stream::stream_trie(plan, src, views, kp, cfg, vcols, map)
+            }),
             _ => Err(ExecError::SourceMismatch("trie")),
         }
     }
 
     fn describe(&self) -> String {
         let detail = match &self.state {
-            Some(TrieState::Resident { kp, .. }) => kp_summary(kp),
-            Some(TrieState::Streamed { kp, .. }) => format!("streamed, {}", kp_summary(kp)),
+            Some(s) if s.trie.is_some() => kp_summary(&s.kp),
+            Some(s) => format!("streamed, {}", kp_summary(&s.kp)),
             None => "unprepared".to_string(),
         };
         format!("FactTrie[{}; {}]", detail, dims_summary(&self.plan))
@@ -1054,16 +1010,11 @@ pub struct SortedTrieNode {
     state: Option<SortedState>,
 }
 
-enum SortedState {
-    Resident {
-        sorted: physical::SortedStar,
-        views: Arc<Vec<physical::DenseView>>,
-        kp: physical::KeyPlan,
-    },
-    Streamed {
-        views: Arc<Vec<physical::DenseView>>,
-        kp: physical::KeyPlan,
-    },
+struct SortedState {
+    views: Arc<Vec<physical::DenseView>>,
+    kp: physical::KeyPlan,
+    /// The sorted fact order; `None` when prepared for streaming.
+    sorted: Option<physical::SortedStar>,
 }
 
 impl SortedTrieNode {
@@ -1085,65 +1036,47 @@ impl Executor for SortedTrieNode {
     fn prepare(&mut self, state: &mut ExecutionState<'_>) -> Result<(), ExecError> {
         self.scan.prepare(state)?;
         state.note_prepare();
-        let source = state.source;
-        let plan = &self.plan;
-        self.state = Some(match source {
-            Source::Resident(db) => {
-                let views = state.dim_state(
-                    dim_fingerprint("sorted-trie", Layout::SortedTrie, plan, db),
-                    || physical::build_dense_views(plan, db),
-                );
-                let kp = physical::key_plan(plan, db);
-                let sorted = physical::build_sorted_from(&kp, db);
-                SortedState::Resident { sorted, views, kp }
-            }
-            Source::StreamSchema { schema, fact_rows } => SortedState::Streamed {
-                views: state.dim_state(
-                    dim_fingerprint("sorted-trie", Layout::SortedTrie, plan, schema),
-                    || physical::build_dense_views(plan, schema),
-                ),
-                kp: physical::key_plan_with_rows(plan, schema, fact_rows),
-            },
-            Source::Stream(src) => {
-                let schema = src.schema_db();
-                SortedState::Streamed {
-                    views: state.dim_state(
-                        dim_fingerprint("sorted-trie", Layout::SortedTrie, plan, schema),
-                        || physical::build_dense_views(plan, schema),
-                    ),
-                    kp: physical::key_plan_with_rows(plan, schema, src.fact_rows()),
-                }
-            }
-        });
+        let (plan, source) = (&self.plan, state.source);
+        let schema = source.dims_db();
+        let views = state.dim_state(
+            dim_fingerprint("sorted-trie", Layout::SortedTrie, plan, schema),
+            || physical::build_dense_views(plan, schema),
+        );
+        let kp = physical::key_plan(plan, schema, source.fact_rows());
+        let sorted = source
+            .resident()
+            .map(|db| physical::build_sorted_from(&kp, db));
+        self.state = Some(SortedState { views, kp, sorted });
         Ok(())
     }
 
-    fn execute(&mut self, state: &mut ExecutionState<'_>) -> Result<AggResults, ExecError> {
+    fn execute(&self, state: &mut ExecutionState<'_>) -> Result<AggResults, ExecError> {
         self.scan.execute(state)?;
         let prep = self
             .state
             .as_ref()
             .ok_or(ExecError::Unprepared("sorted-trie"))?;
-        match (prep, state.source) {
-            (SortedState::Resident { sorted, views, kp }, Source::Resident(db)) => Ok(
-                physical::exec_sorted_parts(&self.plan, db, sorted, views, kp, state.cfg()),
-            ),
-            (SortedState::Streamed { views, kp }, Source::Stream(src)) => {
-                let plan = &self.plan;
-                let (acc, stats) = state.with_stream_parts(|cfg, vcols, mc| {
-                    stream::run_sorted_stream(plan, src, views, kp, cfg, vcols, mc)
-                })?;
-                state.stream_stats = Some(stats);
-                Ok(acc)
-            }
+        let (plan, views, kp) = (&self.plan, &prep.views, &prep.kp);
+        match (&prep.sorted, state.source) {
+            (Some(sorted), Source::Resident(db)) => Ok(physical::exec_sorted_parts(
+                plan,
+                db,
+                sorted,
+                views,
+                kp,
+                state.cfg(),
+            )),
+            (None, Source::Stream(src)) => state.streamed(|cfg, vcols, map| {
+                stream::stream_sorted(plan, src, views, kp, cfg, vcols, map)
+            }),
             _ => Err(ExecError::SourceMismatch("sorted-trie")),
         }
     }
 
     fn describe(&self) -> String {
         let detail = match &self.state {
-            Some(SortedState::Resident { kp, .. }) => kp_summary(kp),
-            Some(SortedState::Streamed { kp, .. }) => format!("streamed, {}", kp_summary(kp)),
+            Some(s) if s.sorted.is_some() => kp_summary(&s.kp),
+            Some(s) => format!("streamed, {}", kp_summary(&s.kp)),
             None => "unprepared".to_string(),
         };
         format!("SortedTrie[{}; {}]", detail, dims_summary(&self.plan))
@@ -1179,7 +1112,7 @@ impl Executor for AggregateNode {
         self.child.prepare(state)
     }
 
-    fn execute(&mut self, state: &mut ExecutionState<'_>) -> Result<AggResults, ExecError> {
+    fn execute(&self, state: &mut ExecutionState<'_>) -> Result<AggResults, ExecError> {
         let results = self.child.execute(state)?;
         debug_assert_eq!(results.len(), self.nterms, "term/aggregate arity drift");
         Ok(results)
@@ -1244,16 +1177,12 @@ impl PlanTree {
 
     /// Executes the θ-dependent scan over `source` with the tree's
     /// default config.
-    pub fn execute(&mut self, source: Source<'_>) -> Result<AggResults, ExecError> {
-        let cfg = self.cfg;
-        self.execute_with(&mut ExecutionState::new(source).with_cfg(cfg))
+    pub fn execute(&self, source: Source<'_>) -> Result<AggResults, ExecError> {
+        self.execute_with(&mut ExecutionState::new(source).with_cfg(self.cfg))
     }
 
     /// [`PlanTree::execute`] with an explicit [`ExecutionState`].
-    pub fn execute_with(
-        &mut self,
-        state: &mut ExecutionState<'_>,
-    ) -> Result<AggResults, ExecError> {
+    pub fn execute_with(&self, state: &mut ExecutionState<'_>) -> Result<AggResults, ExecError> {
         self.root.execute(state)
     }
 
@@ -1426,11 +1355,12 @@ mod tests {
             let mut tree = build_tree(&plan, Some(&batch), layout, ExecConfig::global());
             tree.prepare(Source::Resident(&db)).unwrap();
             let got = tree.execute(Source::Resident(&db)).unwrap();
-            let direct = crate::layout::execute(
+            let direct = crate::layout::execute_with(
                 layout,
                 &plan,
                 &db,
                 &crate::layout::prepare(layout, &plan, &db),
+                ExecConfig::global(),
             );
             assert_eq!(got, direct, "{layout}: tree != direct kernel");
         }
@@ -1439,7 +1369,7 @@ mod tests {
     #[test]
     fn execute_before_prepare_is_an_error() {
         let (db, batch, plan) = setup();
-        let mut tree = build_tree(
+        let tree = build_tree(
             &plan,
             Some(&batch),
             Layout::MergedHash,

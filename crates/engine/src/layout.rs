@@ -5,19 +5,18 @@
 //! Since the executor-tree refactor this module is a *façade*: a
 //! [`Prepared`] wraps a prepared [`crate::exec::PlanTree`] (built by
 //! [`crate::exec::build_tree`], the single construction point for every
-//! execution path) and this module's job is the staleness contract —
-//! recording which layout, plan, database shape, and mutation epoch the
-//! state was built for, and panicking with a message naming both sides
-//! when [`execute_with`] is handed anything else. Callers that want the
-//! tree itself (node-level explain, prepared-subtree caching, streamed
-//! execution) can use [`crate::exec`] directly; nothing here is more
-//! than guards plus delegation.
+//! execution path). [`execute_with`] checks the two things only the
+//! caller's arguments reveal — the layout and the plan it asks for —
+//! and panics with a message naming both sides on a mismatch; the
+//! tree's scan node guards the database's generation and shape. Callers
+//! that want the tree itself (node-level explain, prepared-subtree
+//! caching, streamed execution) can use [`crate::exec`] directly;
+//! nothing here is more than guards plus delegation.
 
 use crate::exec;
 use crate::par::ExecConfig;
 use crate::star::StarDb;
 use ifaq_query::ViewPlan;
-use std::sync::Mutex;
 
 /// The [`Layout`] enum lives in `ifaq_query::analysis` (the shared cost
 /// oracle both this engine and `ifaq_codegen` consult) and is re-exported
@@ -45,67 +44,34 @@ pub use ifaq_query::analysis::Layout;
 /// layout, plan, row-count, and generation drift — see
 /// [`StarDb::bump_generation`] for the delta-maintenance epoch; they
 /// cannot see content-level dimension edits made without a bump).
+///
+/// Executing never mutates the tree, so one `Prepared` serves any number
+/// of concurrent [`execute_with`] calls from many threads.
 #[derive(Debug)]
 pub struct Prepared {
-    layout: Layout,
-    /// The plan the state was derived from, kept for the staleness guard:
-    /// per-term view sets, payload orders, and level analyses are all
-    /// plan-shaped, so executing a different plan over them would index
-    /// out of bounds or silently mis-multiply. Plans are term/dim
-    /// metadata (not data-sized), so the clone and the per-execute
-    /// equality check are negligible next to any fact scan.
-    plan: ViewPlan,
-    /// Row counts of the database the state was built from (fact, then
-    /// each dimension): tries, sort orders, and the join index hold row
-    /// *indices*, so executing over a database whose shape changed (e.g.
-    /// `take_fact`) would read out of bounds or mis-join. *Fact value*
-    /// mutations keep the counts (and validity) intact — that is the
-    /// `__sigma` contract — while shape changes are caught here.
-    /// Mutating dimension *payload values* or join *keys* is
-    /// intentionally out of guard scope: dimension payloads are baked
-    /// into the prepared views and keys into the indexes, so either kind
-    /// of change means re-preparing (see the struct docs).
-    db_shape: Vec<usize>,
-    /// The database's mutation epoch ([`StarDb::generation`]) at prepare
-    /// time. Incremental maintenance bumps the generation on every
-    /// applied delta, so this guard catches the case the shape guard
-    /// cannot: a delta that deletes and inserts equally many rows keeps
-    /// the row counts but moves the data out from under row-index state.
-    db_generation: u64,
-    /// The prepared executor tree. Behind a mutex because node execution
-    /// takes `&mut self` (nodes own their state and the streamed paths
-    /// record stats), while this module's API promises read-only reuse
-    /// of one `Prepared` from any number of `execute_with` calls.
-    tree: Mutex<exec::PlanTree>,
-}
-
-fn db_shape(db: &StarDb) -> Vec<usize> {
-    std::iter::once(db.fact.len())
-        .chain(db.dims.iter().map(|d| d.rel.len()))
-        .collect()
+    /// The prepared executor tree; it also records the layout and the
+    /// plan the state was built for.
+    tree: exec::PlanTree,
 }
 
 impl Prepared {
     /// The layout this state was built for.
     pub fn layout(&self) -> Layout {
-        self.layout
+        self.tree.layout()
+    }
+
+    /// The prepared executor tree, e.g. for its per-tree
+    /// [`exec::PlanTree::prepare_invocations`] accounting.
+    pub fn tree(&self) -> &exec::PlanTree {
+        &self.tree
     }
 
     /// Renders the prepared executor tree, one node per line (see
     /// [`crate::exec::PlanTree::explain`]).
     pub fn explain_tree(&self) -> String {
-        self.tree.lock().expect("prepared tree lock").explain()
+        self.tree.explain()
     }
 }
-
-/// How many times [`prepare`] has run in this process. Monotonic;
-/// intended for tests asserting preparation is hoisted (built once per
-/// training run or batch loop, not once per call or iteration).
-pub fn prepare_invocations() -> usize {
-    PREPARE_CALLS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-static PREPARE_CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
 /// Builds every piece of θ-free state `layout` needs over `plan` × `db`.
 ///
@@ -151,26 +117,13 @@ fn prepare_inner(
     // the prepare/execute contract), so a θ-dependent dimension payload
     // still panics here with the long-standing message.
     let mut tree = exec::build_tree(plan, None, layout, ExecConfig::global());
-    PREPARE_CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let mut state = exec::ExecutionState::new(exec::Source::Resident(db));
     if let Some(cache) = cache {
         state = state.with_cache(cache);
     }
     tree.prepare_with(&mut state)
         .expect("resident preparation is infallible");
-    Prepared {
-        layout,
-        plan: plan.clone(),
-        db_shape: db_shape(db),
-        db_generation: db.generation(),
-        tree: Mutex::new(tree),
-    }
-}
-
-/// Executes the batch under the given layout with the process-wide
-/// [`ExecConfig::global`] (one thread unless `IFAQ_THREADS` is set).
-pub fn execute(layout: Layout, plan: &ViewPlan, db: &StarDb, prep: &Prepared) -> Vec<f64> {
-    execute_with(layout, plan, db, prep, ExecConfig::global())
+    Prepared { tree }
 }
 
 /// Executes the batch under the given layout over state built by
@@ -182,7 +135,10 @@ pub fn execute(layout: Layout, plan: &ViewPlan, db: &StarDb, prep: &Prepared) ->
 ///
 /// If `prep` was built for a different layout than `layout` — the
 /// message names both, so a stale preparation is caught at the call
-/// site instead of producing wrong results.
+/// site instead of producing wrong results — or for a different plan
+/// (per-term view sets, payload orders, and level analyses are all
+/// plan-shaped). The tree's scan node panics, naming both sides, when
+/// `db`'s generation or shape moved since [`prepare`].
 pub fn execute_with(
     layout: Layout,
     plan: &ViewPlan,
@@ -190,54 +146,32 @@ pub fn execute_with(
     prep: &Prepared,
     cfg: &ExecConfig,
 ) -> Vec<f64> {
-    if prep.layout != layout {
+    if prep.layout() != layout {
         panic!(
             "stale Prepared: state was built for layout `{built}` ({built_dbg:?}) but \
              execute was called under layout `{want}` ({want_dbg:?}); \
              call layout::prepare({want_dbg:?}, …) and pass that instead",
-            built = prep.layout,
-            built_dbg = prep.layout,
+            built = prep.layout(),
+            built_dbg = prep.layout(),
             want = layout,
             want_dbg = layout,
         );
     }
-    if prep.db_generation != db.generation() {
-        panic!(
-            "stale Prepared: state was built at database generation {built} but \
-             execute was called at generation {now}; a delta was applied in \
-             between, so row-index state (join index, trie, sort order) and \
-             baked views may no longer match the data — rebuild with \
-             layout::prepare over the current database",
-            built = prep.db_generation,
-            now = db.generation(),
-        );
-    }
-    if prep.db_shape != db_shape(db) {
-        panic!(
-            "stale Prepared: state was built over a database shaped {built:?} \
-             (fact rows, then each dimension's rows) but execute was called over \
-             one shaped {want:?}; row-index state (join index, trie, sort order) \
-             would read out of bounds — rebuild with layout::prepare for the \
-             current database",
-            built = prep.db_shape,
-            want = db_shape(db),
-        );
-    }
-    if prep.plan != *plan {
+    if prep.tree.plan() != plan {
         panic!(
             "stale Prepared: state was built for a different view plan \
              ({built_terms} terms over {built_dims} dimension views, now \
              {want_terms} terms over {want_dims}); per-term views and level \
              analyses are plan-shaped, so rebuild with layout::prepare({layout:?}, …) \
              for the plan being executed",
-            built_terms = prep.plan.terms.len(),
-            built_dims = prep.plan.dims.len(),
+            built_terms = prep.tree.plan().terms.len(),
+            built_dims = prep.tree.plan().dims.len(),
             want_terms = plan.terms.len(),
             want_dims = plan.dims.len(),
         );
     }
-    let mut tree = prep.tree.lock().expect("prepared tree lock");
-    tree.execute_with(&mut exec::ExecutionState::new(exec::Source::Resident(db)).with_cfg(*cfg))
+    prep.tree
+        .execute_with(&mut exec::ExecutionState::new(exec::Source::Resident(db)).with_cfg(*cfg))
         .expect("resident execution is infallible after prepare")
 }
 
@@ -254,15 +188,16 @@ mod tests {
         let cat = db.catalog();
         let tree = JoinTree::build(&cat, &["S", "R", "I"]).unwrap();
         let plan = ViewPlan::plan(&covar_batch(&["city", "price"], "units"), &tree, &cat).unwrap();
-        let reference = execute(
+        let reference = execute_with(
             Layout::Materialized,
             &plan,
             &db,
             &prepare(Layout::Materialized, &plan, &db),
+            ExecConfig::global(),
         );
         for &layout in Layout::all() {
             let prep = prepare(layout, &plan, &db);
-            let got = execute(layout, &plan, &db, &prep);
+            let got = execute_with(layout, &plan, &db, &prep, ExecConfig::global());
             for (a, b) in reference.iter().zip(&got) {
                 assert!((a - b).abs() < 1e-9, "{layout}: {a} vs {b}");
             }
@@ -281,12 +216,18 @@ mod tests {
         for &layout in Layout::all() {
             let prep = prepare(layout, &plan, &db);
             assert_eq!(prep.layout(), layout);
-            let fresh = execute(layout, &plan, &db, &prepare(layout, &plan, &db));
-            let first = execute(layout, &plan, &db, &prep);
+            let fresh = execute_with(
+                layout,
+                &plan,
+                &db,
+                &prepare(layout, &plan, &db),
+                ExecConfig::global(),
+            );
+            let first = execute_with(layout, &plan, &db, &prep, ExecConfig::global());
             assert_eq!(first, fresh, "{layout}: reuse != fresh");
             for _ in 0..3 {
                 assert_eq!(
-                    execute(layout, &plan, &db, &prep),
+                    execute_with(layout, &plan, &db, &prep, ExecConfig::global()),
                     first,
                     "{layout} drifted"
                 );
@@ -302,7 +243,7 @@ mod tests {
         let plan = ViewPlan::plan(&covar_batch(&["city", "price"], "units"), &tree, &cat).unwrap();
         let prep = prepare(Layout::Trie, &plan, &db);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute(Layout::SortedTrie, &plan, &db, &prep)
+            execute_with(Layout::SortedTrie, &plan, &db, &prep, ExecConfig::global())
         }))
         .expect_err("mismatched layout must panic");
         let msg = err
@@ -331,7 +272,7 @@ mod tests {
         for &layout in &[Layout::Pushdown, Layout::MergedHash, Layout::Trie] {
             let prep = prepare(layout, &plan_a, &db);
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                execute(layout, &plan_b, &db, &prep)
+                execute_with(layout, &plan_b, &db, &prep, ExecConfig::global())
             }))
             .expect_err("plan mismatch must panic");
             let msg = err
@@ -358,7 +299,13 @@ mod tests {
         let prep = prepare(Layout::Materialized, &plan, &db);
         let truncated = db.take_fact(2);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute(Layout::Materialized, &plan, &truncated, &prep)
+            execute_with(
+                Layout::Materialized,
+                &plan,
+                &truncated,
+                &prep,
+                ExecConfig::global(),
+            )
         }))
         .expect_err("shape mismatch must panic");
         let msg = err
@@ -383,7 +330,7 @@ mod tests {
         db.bump_generation();
         db.bump_generation();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute(Layout::Trie, &plan, &db, &prep)
+            execute_with(Layout::Trie, &plan, &db, &prep, ExecConfig::global())
         }))
         .expect_err("generation mismatch must panic");
         let msg = err
@@ -408,12 +355,12 @@ mod tests {
         let plan = ViewPlan::plan(&covar_batch(&["city"], "units"), &tree, &cat).unwrap();
         for &layout in Layout::all() {
             let prep = prepare(layout, &plan, &db);
-            let before = execute(layout, &plan, &db, &prep);
+            let before = execute_with(layout, &plan, &db, &prep, ExecConfig::global());
             let units: Vec<f64> = (0..db.fact.len())
                 .map(|i| db.fact.columns[2].get_f64(i) * 2.0)
                 .collect();
             db.fact.columns[2] = ifaq_storage::Column::F64(units);
-            let after = execute(layout, &plan, &db, &prep);
+            let after = execute_with(layout, &plan, &db, &prep, ExecConfig::global());
             assert_ne!(before, after, "{layout}: mutation must be visible");
             // m_units doubles exactly; find it through the plan.
             db.fact.columns[2] = ifaq_storage::Column::F64(
@@ -426,16 +373,17 @@ mod tests {
 
     #[test]
     fn prepare_invocations_is_monotonic() {
-        // Strict "execute never prepares" accounting needs a process with
-        // no concurrent tests; that lives in `ifaq_ml`'s single-test
-        // `prepare_once` integration binary. Here: the counter moves.
+        // The count lives on each prepared tree, so concurrent tests
+        // cannot disturb it: one prepare moves it by the node count, and
+        // executes never move it again.
         let db = running_example_star();
         let cat = db.catalog();
         let tree = JoinTree::build(&cat, &["S", "R", "I"]).unwrap();
         let plan = ViewPlan::plan(&covar_batch(&["city"], "units"), &tree, &cat).unwrap();
-        let before = prepare_invocations();
-        let _prep = prepare(Layout::MergedHash, &plan, &db);
-        assert!(prepare_invocations() > before);
+        let prep = prepare(Layout::MergedHash, &plan, &db);
+        assert_eq!(prep.tree().prepare_invocations(), 3);
+        let _ = execute_with(Layout::MergedHash, &plan, &db, &prep, ExecConfig::global());
+        assert_eq!(prep.tree().prepare_invocations(), 3);
     }
 
     #[test]

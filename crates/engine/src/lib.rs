@@ -9,20 +9,22 @@
 //!   micro-benchmarks run on it.
 //! * [`physical`] — specialized executors for aggregate batches over a
 //!   star-schema columnar database ([`star::StarDb`]), one per rung of the
-//!   paper's optimization ladders:
+//!   paper's optimization ladders. Each runs as a layout node of the
+//!   executor tree below, built by [`layout::prepare`] (or
+//!   [`exec::build_tree`]) for a [`Layout`]:
 //!
-//!   | Executor | Paper point |
-//!   |----------|-------------|
-//!   | [`physical::exec_materialized`] | baseline: materialize the join, then aggregate |
-//!   | [`physical::exec_pushdown`] | Fig. 7a "Pushed Down Aggregates" (one view set per aggregate, repeated scans) |
-//!   | [`physical::exec_boxed_records`] | Fig. 7b "Optimized Aggregates Compiled to Scala" (boxed records in ordered dictionaries) |
-//!   | [`physical::exec_boxed_scalars`] | Fig. 7b "Record Removal" (boxed keys, unboxed payload vectors) |
-//!   | [`physical::exec_merged`] | Fig. 7a "Merged Views + Multi Aggregate" / Fig. 7b "Compilation to C++ and Mem Mgt" (native hash views, fused scan) |
-//!   | [`physical::exec_trie`] | Fig. 7a "Dictionary to Trie" (factorized per-group lookups) |
-//!   | [`physical::exec_array`] | Fig. 7b "Dictionary to Array" (dense key-indexed views) |
-//!   | [`physical::exec_sorted`] | Fig. 7b "Sorted Trie" (sorted fact + merge-pointer view lookups) |
+//!   | Layout node | Paper point |
+//!   |-------------|-------------|
+//!   | [`exec::MaterializedNode`] | baseline: materialize the join, then aggregate |
+//!   | [`exec::PushdownNode`] | Fig. 7a "Pushed Down Aggregates" (one view set per aggregate, repeated scans) |
+//!   | [`exec::BoxedRecordsNode`] | Fig. 7b "Optimized Aggregates Compiled to Scala" (boxed records in ordered dictionaries) |
+//!   | [`exec::BoxedScalarsNode`] | Fig. 7b "Record Removal" (boxed keys, unboxed payload vectors) |
+//!   | [`exec::MergedHashNode`] | Fig. 7a "Merged Views + Multi Aggregate" / Fig. 7b "Compilation to C++ and Mem Mgt" (native hash views, fused scan) |
+//!   | [`exec::TrieNode`] | Fig. 7a "Dictionary to Trie" (factorized per-group lookups) |
+//!   | [`exec::DenseArrayNode`] | Fig. 7b "Dictionary to Array" (dense key-indexed views) |
+//!   | [`exec::SortedTrieNode`] | Fig. 7b "Sorted Trie" (sorted fact + merge-pointer view lookups) |
 //!
-//! All executors compute the same batch results; cross-engine equivalence
+//! All layouts compute the same batch results; cross-engine equivalence
 //! is property-tested.
 //!
 //! ## The executor tree
@@ -41,14 +43,14 @@
 //! ## Sharded execution
 //!
 //! The aggregate batch over `dom(Q)` is embarrassingly parallel per fact
-//! row, so every executor also exists as an `exec_*_cfg` variant that
-//! shards its scan across threads according to an [`ExecConfig`]
-//! (`threads` × `chunk_rows`). The plain entry points use the
-//! process-wide [`ExecConfig::global`], read once from `IFAQ_THREADS` /
-//! `IFAQ_CHUNK_ROWS` — with neither set that is one thread and one
-//! chunk, i.e. exactly the pre-sharding sequential accumulation — so the
-//! whole test suite and every bench can be pushed onto the sharded path
-//! from the environment. The sharding model, implemented in [`par`]:
+//! row, so every executor shards its scan across threads according to an
+//! [`ExecConfig`] (`threads` × `chunk_rows`), passed per call to
+//! [`layout::execute_with`]. Callers without a config of their own use
+//! the process-wide [`ExecConfig::global`], read once from
+//! `IFAQ_THREADS` / `IFAQ_CHUNK_ROWS` — with neither set that is one
+//! thread and one chunk, i.e. exactly the pre-sharding sequential
+//! accumulation — so the whole test suite and every bench can be pushed
+//! onto the sharded path from the environment. The sharding model, implemented in [`par`]:
 //!
 //! * the scan splits into fixed-size chunks of `chunk_rows` work items —
 //!   a layout that depends **only** on the data size and `chunk_rows`,

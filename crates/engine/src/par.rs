@@ -59,7 +59,7 @@ use std::sync::OnceLock;
 /// Default number of rows (work items) per chunk for *sharded* configs
 /// ([`ExecConfig::with_threads`], or `IFAQ_THREADS` set). Plain
 /// [`ExecConfig::default`] instead runs the whole scan as one chunk, so
-/// the non-`_cfg` entry points reproduce the exact pre-sharding
+/// callers on the global default reproduce the exact pre-sharding
 /// accumulation order when no environment override is present.
 pub const DEFAULT_CHUNK_ROWS: usize = 2_048;
 
@@ -77,8 +77,8 @@ pub struct ExecConfig {
 }
 
 impl Default for ExecConfig {
-    /// One thread, one chunk: the faithful sequential execution — plain
-    /// (non-`_cfg`) entry points produce bit-identical results to the
+    /// One thread, one chunk: the faithful sequential execution — callers
+    /// on the global default produce bit-identical results to the
     /// pre-sharding accumulators.
     fn default() -> Self {
         ExecConfig {
@@ -150,8 +150,8 @@ impl ExecConfig {
     }
 
     /// The process-wide configuration: [`ExecConfig::from_env`] read once
-    /// on first use. The plain (non-`_cfg`) executor entry points use
-    /// this, so `IFAQ_THREADS=4 cargo test` drives every existing test
+    /// on first use. Callers without a config of their own use this,
+    /// so `IFAQ_THREADS=4 cargo test` drives every existing test
     /// through the sharded path — safe precisely because results are
     /// thread-count invariant.
     pub fn global() -> &'static ExecConfig {

@@ -5,22 +5,18 @@
 //! the planned batch); they differ in data layout and loop structure. See
 //! the crate docs for the mapping to the paper's measurement points.
 //!
-//! Each executor comes in three forms: `exec_*`, which uses the
-//! process-wide [`ExecConfig::global`] (from `IFAQ_THREADS` /
-//! `IFAQ_CHUNK_ROWS`; one thread when unset); `exec_*_cfg`, which shards
-//! the scan across threads per an explicit [`ExecConfig`]; and the
-//! `prepare_*` / `exec_*_prepared` split, where all θ-free state — the
-//! merged hash views, dense key-indexed views, boxed dictionaries,
-//! per-aggregate pushdown views, the resolved join, the fact trie, the
-//! sorted order, and the level analysis — is built exactly once and then
-//! borrowed by any number of execute calls. The one-shot forms are thin
-//! wrappers over the split, so reuse is bit-identical to fresh
-//! prepare+execute by construction. The [`crate::exec`] executor tree
-//! composes these kernels into plan nodes — one join/view node per
+//! Each executor is a `prepare_*` / `exec_*_prepared` split: all θ-free
+//! state — the merged hash views, dense key-indexed views, boxed
+//! dictionaries, per-aggregate pushdown views, the resolved join, the
+//! fact trie, the sorted order, and the level analysis — is built exactly
+//! once and then borrowed by any number of execute calls, each sharding
+//! its scan across threads per an explicit [`ExecConfig`]. The only
+//! one-shot form left is [`exec_merged`]. The [`crate::exec`] executor
+//! tree composes these kernels into plan nodes — one join/view node per
 //! layout owning the matching `*Prep` — and is what
-//! [`crate::layout::prepare`] builds; this module stays the kernel
-//! library: loops, preps, and nothing that knows about trees or
-//! sources. Prepared state never captures fact
+//! [`crate::layout::prepare`] builds and the only way to run a layout;
+//! this module stays the kernel library: loops, preps, and nothing that
+//! knows about trees or sources. Prepared state never captures fact
 //! *value* columns (executors read those live), so iterative training
 //! that rewrites a derived fact column (logistic's `__sigma`) can reuse
 //! one preparation across every iteration.
@@ -192,17 +188,6 @@ pub(crate) fn signature_map(plan: &ViewPlan) -> (Vec<usize>, Vec<usize>) {
     (sig_of, reps)
 }
 
-/// Baseline: materialize the join, then aggregate over the dense matrix.
-pub fn exec_materialized(plan: &ViewPlan, db: &StarDb) -> Vec<f64> {
-    exec_materialized_cfg(plan, db, ExecConfig::global())
-}
-
-/// [`exec_materialized`] with a sharded aggregate scan (materialization
-/// itself stays single-threaded, as in the conventional pipeline).
-pub fn exec_materialized_cfg(plan: &ViewPlan, db: &StarDb, cfg: &ExecConfig) -> Vec<f64> {
-    exec_materialized_prepared(plan, db, &prepare_materialized(db), cfg)
-}
-
 /// θ-free prepared state for the materialized baseline: the resolved
 /// project-join row structure ([`crate::star::JoinIndex`]). The index
 /// reads only join keys, so it survives fact *value* mutations (e.g. the
@@ -220,9 +205,11 @@ pub fn prepare_materialized(db: &StarDb) -> MatPrep {
     }
 }
 
-/// [`exec_materialized_cfg`] over a prebuilt [`MatPrep`]: gathers the
-/// dense matrix from the current column values (bit-identical to
-/// [`StarDb::materialize`]) and aggregates over it.
+/// Baseline: materialize the join, then aggregate over the dense matrix.
+/// Gathers the matrix through a prebuilt [`MatPrep`] from the current
+/// column values (bit-identical to [`StarDb::materialize`]) and shards
+/// the aggregate scan (materialization itself stays single-threaded, as
+/// in the conventional pipeline).
 pub fn exec_materialized_prepared(
     plan: &ViewPlan,
     db: &StarDb,
@@ -233,13 +220,8 @@ pub fn exec_materialized_prepared(
     batch_over_matrix_cfg(&m, plan, cfg)
 }
 
-/// Computes the batch over an already-materialized training matrix. Also
-/// used by the baseline (scikit-like) learners.
-pub fn batch_over_matrix(m: &crate::star::TrainMatrix, plan: &ViewPlan) -> Vec<f64> {
-    batch_over_matrix_cfg(m, plan, ExecConfig::global())
-}
-
-/// [`batch_over_matrix`] sharded across matrix row chunks.
+/// Computes the batch over an already-materialized training matrix,
+/// sharded across matrix row chunks.
 pub fn batch_over_matrix_cfg(
     m: &crate::star::TrainMatrix,
     plan: &ViewPlan,
@@ -299,30 +281,6 @@ pub fn batch_over_matrix_cfg(
     })
 }
 
-/// Fig. 7a "Pushed Down Aggregates": one view set *per aggregate*, so each
-/// dimension is scanned once per aggregate and the fact table is scanned
-/// once per aggregate.
-pub fn exec_pushdown(plan: &ViewPlan, db: &StarDb) -> Vec<f64> {
-    exec_pushdown_cfg(plan, db, ExecConfig::global())
-}
-
-/// [`exec_pushdown`] sharded across *aggregates* rather than rows: every
-/// term's fact scan is already an independent unit of work (the repeated
-/// per-aggregate scans are the point of this rung), so each worker
-/// computes whole terms — one thread scope for the batch, and since a
-/// term is never split its result is the plain sequential accumulation,
-/// identical for any thread count *and* any `chunk_rows`.
-///
-/// As a wrapper over the split, this one-shot form builds the whole
-/// [`PushdownPrep`] up front (single-threaded, all term view sets
-/// resident — see its memory note) before the sharded scan; the
-/// pre-split code instead built each term's views inside its worker.
-/// On wide batches over large dimensions that trade-off matters and a
-/// view-sharing layout is the right tool anyway.
-pub fn exec_pushdown_cfg(plan: &ViewPlan, db: &StarDb, cfg: &ExecConfig) -> Vec<f64> {
-    exec_pushdown_prepared(plan, db, &prepare_pushdown(plan, db), cfg)
-}
-
 /// θ-free prepared state for the pushdown executor: one single-payload
 /// view per (aggregate, dimension) pair — this rung's defining
 /// duplication, built once instead of once per execute call.
@@ -371,7 +329,14 @@ pub fn prepare_pushdown(plan: &ViewPlan, db: &StarDb) -> PushdownPrep {
     PushdownPrep { views }
 }
 
-/// [`exec_pushdown_cfg`] over prebuilt per-aggregate views.
+/// Fig. 7a "Pushed Down Aggregates": one view set *per aggregate*, so each
+/// dimension is scanned once per aggregate and the fact table is scanned
+/// once per aggregate. Sharded across *aggregates* rather than rows:
+/// every term's fact scan is already an independent unit of work (the
+/// repeated per-aggregate scans are the point of this rung), so each
+/// worker computes whole terms — one thread scope for the batch, and
+/// since a term is never split its result is the plain sequential
+/// accumulation, identical for any thread count *and* any `chunk_rows`.
 pub fn exec_pushdown_prepared(
     plan: &ViewPlan,
     db: &StarDb,
@@ -392,23 +357,10 @@ pub fn exec_pushdown_prepared(
         |terms: Range<usize>| {
             terms
                 .map(|t| {
-                    let views = &prep.views[t];
-                    let fa = &fact_access[t];
-                    let mut acc = 0.0;
-                    'row: for i in 0..n {
-                        let mut v = fa.eval(i);
-                        if v == 0.0 {
-                            continue;
-                        }
-                        for (b, view) in bounds.iter().zip(views) {
-                            match view.get(&b.fact_keys[i]) {
-                                Some(&p) => v *= p,
-                                None => continue 'row,
-                            }
-                        }
-                        acc += v;
-                    }
-                    (t, acc)
+                    (
+                        t,
+                        pushdown_fold(&bounds, &prep.views[t], &fact_access[t], n, 0.0),
+                    )
                 })
                 .collect::<Vec<_>>()
         },
@@ -420,16 +372,39 @@ pub fn exec_pushdown_prepared(
     )
 }
 
-/// Fig. 7a "Merged Views + Multi Aggregate" / Fig. 7b "Compilation to C++
-/// and Mem Mgt": one merged view per dimension, one fused fact scan
-/// computing every aggregate.
-pub fn exec_merged(plan: &ViewPlan, db: &StarDb) -> Vec<f64> {
-    exec_merged_cfg(plan, db, ExecConfig::global())
+/// One pushdown term's sequential fold over rows `0..rows`, continuing
+/// from `acc`: the resident executor folds each term over the whole fact
+/// table from zero; the streamed one carries `acc` across chunks, which
+/// adds the same values in the same order.
+pub(crate) fn pushdown_fold(
+    bounds: &[BoundDim<'_>],
+    views: &[HashMap<i64, f64>],
+    fa: &FactAccess<'_>,
+    rows: usize,
+    mut acc: f64,
+) -> f64 {
+    'row: for i in 0..rows {
+        let mut v = fa.eval(i);
+        if v == 0.0 {
+            continue;
+        }
+        for (b, view) in bounds.iter().zip(views) {
+            match view.get(&b.fact_keys[i]) {
+                Some(&p) => v *= p,
+                None => continue 'row,
+            }
+        }
+        acc += v;
+    }
+    acc
 }
 
-/// [`exec_merged`] with the fused fact scan sharded across row chunks.
-pub fn exec_merged_cfg(plan: &ViewPlan, db: &StarDb, cfg: &ExecConfig) -> Vec<f64> {
-    exec_merged_prepared(plan, db, &prepare_merged(plan, db), cfg)
+/// Fig. 7a "Merged Views + Multi Aggregate" / Fig. 7b "Compilation to C++
+/// and Mem Mgt": one merged view per dimension, one fused fact scan
+/// computing every aggregate. A one-shot prepare + execute under the
+/// process-wide [`ExecConfig::global`].
+pub fn exec_merged(plan: &ViewPlan, db: &StarDb) -> Vec<f64> {
+    exec_merged_prepared(plan, db, &prepare_merged(plan, db), ExecConfig::global())
 }
 
 /// θ-free prepared state for the merged-view executor: one merged hash
@@ -441,13 +416,13 @@ pub struct MergedPrep {
 
 /// Builds the merged view of every dimension.
 pub fn prepare_merged(plan: &ViewPlan, db: &StarDb) -> MergedPrep {
-    let bounds = bind_dims(plan, db);
     MergedPrep {
-        views: bounds.iter().map(build_merged_view).collect(),
+        views: build_merged_views(plan, db),
     }
 }
 
-/// [`exec_merged_cfg`] over prebuilt merged views.
+/// [`exec_merged`] over prebuilt merged views, with the fused fact scan
+/// sharded across row chunks.
 pub fn exec_merged_prepared(
     plan: &ViewPlan,
     db: &StarDb,
@@ -511,18 +486,15 @@ pub(crate) struct KeyPlan {
     pub(crate) rowprogs: Vec<(usize, Vec<usize>)>,
 }
 
-pub(crate) fn key_plan(plan: &ViewPlan, db: &StarDb) -> KeyPlan {
-    key_plan_with_rows(plan, db, db.fact.len().max(1))
-}
-
-/// [`key_plan`] with the fact row count supplied explicitly instead of
-/// taken from `db.fact`. The streaming path plans against a schema-only
-/// database whose fact table is empty — the real row count comes from
-/// the on-disk export's header — and the prefix/remainder split depends
-/// on that count (the `groups ≤ rows/2` hoisting threshold), so it must
-/// see the *full-table* count or the streamed level analysis would
-/// diverge from the in-memory one.
-pub(crate) fn key_plan_with_rows(plan: &ViewPlan, db: &StarDb, rows: usize) -> KeyPlan {
+/// The level analysis of `plan` over `db`'s dimensions for a fact table
+/// of `rows` rows, supplied explicitly instead of taken from `db.fact`.
+/// The streaming path plans against a schema-only database whose fact
+/// table is empty — the real row count comes from the on-disk export's
+/// header — and the prefix/remainder split depends on that count (the
+/// `groups ≤ rows/2` hoisting threshold), so it must see the
+/// *full-table* count or the streamed level analysis would diverge from
+/// the in-memory one.
+pub(crate) fn key_plan(plan: &ViewPlan, db: &StarDb, rows: usize) -> KeyPlan {
     let bounds = bind_dims(plan, db);
     let rows = rows.max(1);
     // Group dims by fact key column.
@@ -577,8 +549,9 @@ pub(crate) fn key_plan_with_rows(plan: &ViewPlan, db: &StarDb, rows: usize) -> K
 /// A trie over the fact table, grouped by the low-cardinality join-key
 /// columns (the "Dictionary to Trie" representation, Example 4.11): one
 /// level per hoistable key column, with leaves holding the row groups.
-/// Build it once with [`build_fact_trie`]; the paper's setup likewise
-/// assumes relations are indexed by their join attributes beforehand.
+/// The trie node builds it once at prepare time; the paper's setup
+/// likewise assumes relations are indexed by their join attributes
+/// beforehand.
 ///
 /// Nodes are key-ordered (`BTreeMap`) so iteration — and therefore the
 /// accumulation order of every executor over the trie — is deterministic
@@ -594,11 +567,6 @@ pub struct FactTrie {
 enum TrieNode {
     Leaf(Vec<u32>),
     Node(BTreeMap<i64, TrieNode>),
-}
-
-/// Builds the fact trie for `plan` over `db`.
-pub fn build_fact_trie(plan: &ViewPlan, db: &StarDb) -> FactTrie {
-    build_fact_trie_from(&key_plan(plan, db), db)
 }
 
 pub(crate) fn build_fact_trie_from(kp: &KeyPlan, db: &StarDb) -> FactTrie {
@@ -639,68 +607,14 @@ pub(crate) fn build_fact_trie_from(kp: &KeyPlan, db: &StarDb) -> FactTrie {
 /// Fig. 7a "Dictionary to Trie": iterate the fact trie level by level,
 /// looking up the payload vectors of every dimension keyed at that level
 /// *once per group* and factorizing them out of the per-row inner loop;
-/// high-cardinality dimensions are looked up per row as before.
-pub fn exec_trie(plan: &ViewPlan, db: &StarDb, trie: &FactTrie) -> Vec<f64> {
-    exec_trie_cfg(plan, db, trie, ExecConfig::global())
-}
-
-/// [`exec_trie`] sharded across the trie's top-level key groups (the
-/// shard unit is a whole subtree, so per-group hoisting is untouched;
-/// groups per chunk are scaled so a chunk covers ≈ `chunk_rows` rows).
-/// With no hoistable prefix the single leaf's rows are sharded directly.
-/// Rebuilds the merged views and level analysis on every call; use
-/// [`prepare_trie`] + [`exec_trie_prepared`] to hoist them.
-pub fn exec_trie_cfg(plan: &ViewPlan, db: &StarDb, trie: &FactTrie, cfg: &ExecConfig) -> Vec<f64> {
-    let bounds = bind_dims(plan, db);
-    let views: Vec<HashMap<i64, Vec<f64>>> = bounds.iter().map(build_merged_view).collect();
-    let kp = key_plan(plan, db);
-    exec_trie_inner(plan, db, trie, &views, &kp, cfg)
-}
-
-/// θ-free prepared state for the trie executor: the fact trie, the
-/// merged per-dimension views, and the level analysis, all built once.
-#[derive(Debug)]
-pub struct TriePrep {
-    trie: FactTrie,
-    views: Vec<HashMap<i64, Vec<f64>>>,
-    kp: KeyPlan,
-}
-
-/// Builds the trie-executor state for `plan` over `db`.
-pub fn prepare_trie(plan: &ViewPlan, db: &StarDb) -> TriePrep {
-    let bounds = bind_dims(plan, db);
-    let kp = key_plan(plan, db);
-    TriePrep {
-        trie: build_fact_trie_from(&kp, db),
-        views: bounds.iter().map(build_merged_view).collect(),
-        kp,
-    }
-}
-
-/// [`exec_trie_cfg`] over fully prebuilt state.
-pub fn exec_trie_prepared(
-    plan: &ViewPlan,
-    db: &StarDb,
-    prep: &TriePrep,
-    cfg: &ExecConfig,
-) -> Vec<f64> {
-    exec_trie_inner(plan, db, &prep.trie, &prep.views, &prep.kp, cfg)
-}
-
-/// [`exec_trie_prepared`] over the state's individual parts, for `exec`
-/// nodes that cache the dimension views separately from the fact trie.
+/// high-cardinality dimensions are looked up per row as before. Sharded
+/// across the trie's top-level key groups (the shard unit is a whole
+/// subtree, so per-group hoisting is untouched; groups per chunk are
+/// scaled so a chunk covers ≈ `chunk_rows` rows). With no hoistable
+/// prefix the single leaf's rows are sharded directly. The merged views
+/// and the level analysis are prepared separately from the fact trie, so
+/// the views can be cached across fact deltas.
 pub(crate) fn exec_trie_parts(
-    plan: &ViewPlan,
-    db: &StarDb,
-    trie: &FactTrie,
-    views: &[HashMap<i64, Vec<f64>>],
-    kp: &KeyPlan,
-    cfg: &ExecConfig,
-) -> Vec<f64> {
-    exec_trie_inner(plan, db, trie, views, kp, cfg)
-}
-
-fn exec_trie_inner(
     plan: &ViewPlan,
     db: &StarDb,
     trie: &FactTrie,
@@ -957,17 +871,6 @@ pub(crate) fn build_dense_view(b: &BoundDim) -> DenseView {
     }
 }
 
-/// Fig. 7b "Dictionary to Array": merged views stored as dense
-/// key-indexed arrays, removing hashing from the fact scan entirely.
-pub fn exec_array(plan: &ViewPlan, db: &StarDb) -> Vec<f64> {
-    exec_array_cfg(plan, db, ExecConfig::global())
-}
-
-/// [`exec_array`] with the fact scan sharded across row chunks.
-pub fn exec_array_cfg(plan: &ViewPlan, db: &StarDb, cfg: &ExecConfig) -> Vec<f64> {
-    exec_array_prepared(plan, db, &prepare_array(plan, db), cfg)
-}
-
 /// θ-free prepared state for the array executor: one dense key-indexed
 /// view per dimension.
 #[derive(Clone, Debug)]
@@ -984,13 +887,14 @@ pub(crate) fn build_dense_views(plan: &ViewPlan, db: &StarDb) -> Vec<DenseView> 
 
 /// Builds the dense view of every dimension.
 pub fn prepare_array(plan: &ViewPlan, db: &StarDb) -> ArrayPrep {
-    let bounds = bind_dims(plan, db);
     ArrayPrep {
-        views: bounds.iter().map(build_dense_view).collect(),
+        views: build_dense_views(plan, db),
     }
 }
 
-/// [`exec_array_cfg`] over prebuilt dense views.
+/// Fig. 7b "Dictionary to Array": merged views stored as dense
+/// key-indexed arrays, removing hashing from the fact scan entirely. The
+/// fact scan is sharded across row chunks.
 pub fn exec_array_prepared(
     plan: &ViewPlan,
     db: &StarDb,
@@ -1037,11 +941,7 @@ pub struct SortedStar {
     prefix_cols: Vec<ifaq_ir::Sym>,
 }
 
-/// Sorts the fact table by the plan's hoistable key columns.
-pub fn build_sorted(plan: &ViewPlan, db: &StarDb) -> SortedStar {
-    build_sorted_from(&key_plan(plan, db), db)
-}
-
+/// Sorts the fact table by the level analysis' hoistable key columns.
 pub(crate) fn build_sorted_from(kp: &KeyPlan, db: &StarDb) -> SortedStar {
     let key_cols: Vec<&[i64]> = kp
         .prefix
@@ -1077,72 +977,16 @@ pub(crate) fn build_sorted_from(kp: &KeyPlan, db: &StarDb) -> SortedStar {
 /// while the high-cardinality dimensions use dense position-indexed view
 /// arrays. This composes the array layout with trie factorization, the
 /// paper's final and fastest rung.
-pub fn exec_sorted(plan: &ViewPlan, db: &StarDb, sorted: &SortedStar) -> Vec<f64> {
-    exec_sorted_cfg(plan, db, sorted, ExecConfig::global())
-}
-
-/// [`exec_sorted`] sharded across chunks of the sorted row order. A key
-/// group straddling a chunk boundary is flushed once per chunk; the two
-/// partial flushes sum to the whole-group flush (the group-constant
-/// payload product distributes over the split local sums), so chunking
-/// moves fp association only within the documented tolerance and stays
-/// deterministic for a fixed `chunk_rows`. Rebuilds the dense views and
-/// level analysis on every call; use [`prepare_sorted`] +
-/// [`exec_sorted_prepared`] to hoist them.
-pub fn exec_sorted_cfg(
-    plan: &ViewPlan,
-    db: &StarDb,
-    sorted: &SortedStar,
-    cfg: &ExecConfig,
-) -> Vec<f64> {
-    let bounds = bind_dims(plan, db);
-    let kp = key_plan(plan, db);
-    let views: Vec<DenseView> = bounds.iter().map(build_dense_view).collect();
-    exec_sorted_inner(plan, db, sorted, &views, &kp, cfg)
-}
-
-/// θ-free prepared state for the sorted-trie executor: the sorted fact
-/// order, the dense per-dimension views, and the level analysis.
-#[derive(Debug)]
-pub struct SortedPrep {
-    sorted: SortedStar,
-    views: Vec<DenseView>,
-    kp: KeyPlan,
-}
-
-/// Builds the sorted-trie state for `plan` over `db`.
-pub fn prepare_sorted(plan: &ViewPlan, db: &StarDb) -> SortedPrep {
-    let bounds = bind_dims(plan, db);
-    let views = bounds.iter().map(build_dense_view).collect();
-    let kp = key_plan(plan, db);
-    let sorted = build_sorted_from(&kp, db);
-    SortedPrep { sorted, views, kp }
-}
-
-/// [`exec_sorted_cfg`] over fully prebuilt state.
-pub fn exec_sorted_prepared(
-    plan: &ViewPlan,
-    db: &StarDb,
-    prep: &SortedPrep,
-    cfg: &ExecConfig,
-) -> Vec<f64> {
-    exec_sorted_inner(plan, db, &prep.sorted, &prep.views, &prep.kp, cfg)
-}
-
-/// [`exec_sorted_prepared`] over the state's individual parts, for `exec`
-/// nodes that cache the dense views separately from the sort order.
+///
+/// Sharded across chunks of the sorted row order. A key group straddling
+/// a chunk boundary is flushed once per chunk; the two partial flushes
+/// sum to the whole-group flush (the group-constant payload product
+/// distributes over the split local sums), so chunking moves fp
+/// association only within the documented tolerance and stays
+/// deterministic for a fixed `chunk_rows`. The dense views and the level
+/// analysis are prepared separately from the sort order, so the views
+/// can be cached across fact deltas.
 pub(crate) fn exec_sorted_parts(
-    plan: &ViewPlan,
-    db: &StarDb,
-    sorted: &SortedStar,
-    views: &[DenseView],
-    kp: &KeyPlan,
-    cfg: &ExecConfig,
-) -> Vec<f64> {
-    exec_sorted_inner(plan, db, sorted, views, kp, cfg)
-}
-
-fn exec_sorted_inner(
     plan: &ViewPlan,
     db: &StarDb,
     sorted: &SortedStar,
@@ -1270,22 +1114,6 @@ fn exec_sorted_inner(
     })
 }
 
-/// Fig. 7b "Optimized Aggregates Compiled to Scala": the merged-view
-/// algorithm executed over boxed values — record keys and record payloads
-/// in ordered dictionaries, accumulating through the generic ring
-/// operations. This models a managed-runtime implementation.
-pub fn exec_boxed_records(plan: &ViewPlan, db: &StarDb) -> Vec<f64> {
-    exec_boxed_records_cfg(plan, db, ExecConfig::global())
-}
-
-/// [`exec_boxed_records`] with the fact scan sharded across row chunks.
-/// Each chunk accumulates boxed values and unboxes its partials at the
-/// chunk boundary; ring addition on reals is `f64` addition, so the
-/// chunked reduction matches the boxed one exactly.
-pub fn exec_boxed_records_cfg(plan: &ViewPlan, db: &StarDb, cfg: &ExecConfig) -> Vec<f64> {
-    exec_boxed_records_prepared(plan, db, &prepare_boxed_records(plan, db), cfg)
-}
-
 /// θ-free prepared state for the boxed-record executor: per-dimension
 /// ordered dictionaries from boxed key records to boxed payload records.
 #[derive(Clone, Debug)]
@@ -1341,7 +1169,14 @@ pub fn prepare_boxed_records(plan: &ViewPlan, db: &StarDb) -> BoxedRecordsPrep {
     BoxedRecordsPrep { fields, views }
 }
 
-/// [`exec_boxed_records_cfg`] over prebuilt boxed views.
+/// Fig. 7b "Optimized Aggregates Compiled to Scala": the merged-view
+/// algorithm executed over boxed values — record keys and record payloads
+/// in ordered dictionaries, accumulating through the generic ring
+/// operations. This models a managed-runtime implementation. The fact
+/// scan is sharded across row chunks: each chunk accumulates boxed values
+/// and unboxes its partials at the chunk boundary; ring addition on reals
+/// is `f64` addition, so the chunked reduction matches the boxed one
+/// exactly.
 pub fn exec_boxed_records_prepared(
     plan: &ViewPlan,
     db: &StarDb,
@@ -1380,18 +1215,6 @@ pub fn exec_boxed_records_prepared(
     })
 }
 
-/// Fig. 7b "Record Removal": boxed dictionary keys remain, but the
-/// single-field key records are replaced by their field (scalar
-/// replacement) and payload records by flat `f64` vectors.
-pub fn exec_boxed_scalars(plan: &ViewPlan, db: &StarDb) -> Vec<f64> {
-    exec_boxed_scalars_cfg(plan, db, ExecConfig::global())
-}
-
-/// [`exec_boxed_scalars`] with the fact scan sharded across row chunks.
-pub fn exec_boxed_scalars_cfg(plan: &ViewPlan, db: &StarDb, cfg: &ExecConfig) -> Vec<f64> {
-    exec_boxed_scalars_prepared(plan, db, &prepare_boxed_scalars(plan, db), cfg)
-}
-
 /// θ-free prepared state for the record-removal executor: per-dimension
 /// ordered dictionaries with boxed scalar keys and flat payload vectors.
 #[derive(Clone, Debug)]
@@ -1427,7 +1250,10 @@ pub fn prepare_boxed_scalars(plan: &ViewPlan, db: &StarDb) -> BoxedScalarsPrep {
     BoxedScalarsPrep { views }
 }
 
-/// [`exec_boxed_scalars_cfg`] over prebuilt scalar-keyed views.
+/// Fig. 7b "Record Removal": boxed dictionary keys remain, but the
+/// single-field key records are replaced by their field (scalar
+/// replacement) and payload records by flat `f64` vectors. The fact scan
+/// is sharded across row chunks.
 pub fn exec_boxed_scalars_prepared(
     plan: &ViewPlan,
     db: &StarDb,
@@ -1467,9 +1293,24 @@ pub fn exec_boxed_scalars_prepared(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{build_tree, Source};
+    use crate::layout::Layout;
     use crate::star::running_example_star;
     use ifaq_query::batch::{covar_batch, variance_batch, AggBatch, PredOp};
     use ifaq_query::{JoinTree, Predicate, ViewPlan};
+
+    /// Prepares and executes `layout`'s kernel over `db` through the
+    /// executor tree.
+    fn run_cfg(layout: Layout, plan: &ViewPlan, db: &StarDb, cfg: &ExecConfig) -> Vec<f64> {
+        let mut tree = build_tree(plan, None, layout, cfg);
+        tree.prepare(Source::Resident(db)).unwrap();
+        tree.execute(Source::Resident(db)).unwrap()
+    }
+
+    /// [`run_cfg`] under the process-wide config.
+    fn run(layout: Layout, plan: &ViewPlan, db: &StarDb) -> Vec<f64> {
+        run_cfg(layout, plan, db, ExecConfig::global())
+    }
 
     fn setup() -> (StarDb, ViewPlan, AggBatch) {
         let db = running_example_star();
@@ -1531,22 +1372,24 @@ mod tests {
     #[test]
     fn materialized_matches_hand_computation() {
         let (db, plan, batch) = setup();
-        assert_close(&exec_materialized(&plan, &db), &expected(&plan, &batch));
+        assert_close(
+            &run(Layout::Materialized, &plan, &db),
+            &expected(&plan, &batch),
+        );
     }
 
     #[test]
     fn all_engines_agree() {
         let (db, plan, batch) = setup();
         let want = expected(&plan, &batch);
-        assert_close(&exec_pushdown(&plan, &db), &want);
+        assert_close(&run(Layout::Pushdown, &plan, &db), &want);
         assert_close(&exec_merged(&plan, &db), &want);
-        assert_close(&exec_boxed_records(&plan, &db), &want);
-        assert_close(&exec_boxed_scalars(&plan, &db), &want);
-        assert_close(&exec_array(&plan, &db), &want);
-        let trie = build_fact_trie(&plan, &db);
-        assert_close(&exec_trie(&plan, &db, &trie), &want);
-        let sorted = build_sorted(&plan, &db);
-        assert_close(&exec_sorted(&plan, &db, &sorted), &want);
+        assert_close(&run(Layout::MergedHash, &plan, &db), &want);
+        assert_close(&run(Layout::BoxedRecords, &plan, &db), &want);
+        assert_close(&run(Layout::BoxedScalars, &plan, &db), &want);
+        assert_close(&run(Layout::Array, &plan, &db), &want);
+        assert_close(&run(Layout::Trie, &plan, &db), &want);
+        assert_close(&run(Layout::SortedTrie, &plan, &db), &want);
     }
 
     #[test]
@@ -1565,53 +1408,27 @@ mod tests {
         let want = expected(&plan, &batch);
         // `count` leads after the reversal: 5 joined rows.
         assert_eq!(want[0], 5.0);
-        assert_close(&exec_materialized(&plan, &db), &want);
-        assert_close(&exec_merged(&plan, &db), &want);
-        assert_close(&exec_pushdown(&plan, &db), &want);
-        assert_close(&exec_array(&plan, &db), &want);
-        let trie = build_fact_trie(&plan, &db);
-        assert_close(&exec_trie(&plan, &db, &trie), &want);
-        let sorted = build_sorted(&plan, &db);
-        assert_close(&exec_sorted(&plan, &db, &sorted), &want);
+        assert_close(&run(Layout::Materialized, &plan, &db), &want);
+        assert_close(&run(Layout::MergedHash, &plan, &db), &want);
+        assert_close(&run(Layout::Pushdown, &plan, &db), &want);
+        assert_close(&run(Layout::Array, &plan, &db), &want);
+        assert_close(&run(Layout::Trie, &plan, &db), &want);
+        assert_close(&run(Layout::SortedTrie, &plan, &db), &want);
     }
 
     #[test]
     fn sharded_execution_is_thread_count_invariant() {
         // For a fixed chunk size every executor must return bit-identical
         // results at any thread count (chunk merge order is fixed).
-        type Exec<'a> = Box<dyn Fn(&ExecConfig) -> Vec<f64> + 'a>;
         let (db, plan, _) = setup();
-        let trie = build_fact_trie(&plan, &db);
-        let sorted = build_sorted(&plan, &db);
         for chunk in [1, 2, 1024] {
             let base = ExecConfig::with_threads(1).with_chunk_rows(chunk);
-            let runs: Vec<(&str, Exec<'_>)> = vec![
-                (
-                    "materialized",
-                    Box::new(|c| exec_materialized_cfg(&plan, &db, c)),
-                ),
-                ("pushdown", Box::new(|c| exec_pushdown_cfg(&plan, &db, c))),
-                ("merged", Box::new(|c| exec_merged_cfg(&plan, &db, c))),
-                ("array", Box::new(|c| exec_array_cfg(&plan, &db, c))),
-                ("trie", Box::new(|c| exec_trie_cfg(&plan, &db, &trie, c))),
-                (
-                    "sorted",
-                    Box::new(|c| exec_sorted_cfg(&plan, &db, &sorted, c)),
-                ),
-                (
-                    "boxed_records",
-                    Box::new(|c| exec_boxed_records_cfg(&plan, &db, c)),
-                ),
-                (
-                    "boxed_scalars",
-                    Box::new(|c| exec_boxed_scalars_cfg(&plan, &db, c)),
-                ),
-            ];
-            for (name, run) in &runs {
-                let want = run(&base);
+            for &layout in Layout::all() {
+                let want = run_cfg(layout, &plan, &db, &base);
                 for threads in [2, 3, 8] {
-                    let got = run(&ExecConfig::with_threads(threads).with_chunk_rows(chunk));
-                    assert_eq!(want, got, "{name} at {threads} threads, chunk {chunk}");
+                    let cfg = ExecConfig::with_threads(threads).with_chunk_rows(chunk);
+                    let got = run_cfg(layout, &plan, &db, &cfg);
+                    assert_eq!(want, got, "{layout} at {threads} threads, chunk {chunk}");
                 }
             }
         }
@@ -1627,14 +1444,12 @@ mod tests {
         let batch = variance_batch("units", &delta);
         let plan = ViewPlan::plan(&batch, &tree, &cat).unwrap();
         let want = vec![100.0 + 25.0, 15.0, 2.0];
-        assert_close(&exec_merged(&plan, &db), &want);
-        assert_close(&exec_materialized(&plan, &db), &want);
-        assert_close(&exec_pushdown(&plan, &db), &want);
-        let trie = build_fact_trie(&plan, &db);
-        assert_close(&exec_trie(&plan, &db, &trie), &want);
-        let sorted = build_sorted(&plan, &db);
-        assert_close(&exec_sorted(&plan, &db, &sorted), &want);
-        assert_close(&exec_array(&plan, &db), &want);
+        assert_close(&run(Layout::MergedHash, &plan, &db), &want);
+        assert_close(&run(Layout::Materialized, &plan, &db), &want);
+        assert_close(&run(Layout::Pushdown, &plan, &db), &want);
+        assert_close(&run(Layout::Trie, &plan, &db), &want);
+        assert_close(&run(Layout::SortedTrie, &plan, &db), &want);
+        assert_close(&run(Layout::Array, &plan, &db), &want);
     }
 
     #[test]
@@ -1647,8 +1462,8 @@ mod tests {
         let plan = ViewPlan::plan(&batch, &tree, &cat).unwrap();
         // Rows with units > 4: 10, 5, 8.
         let want = vec![100.0 + 25.0 + 64.0, 23.0, 3.0];
-        assert_close(&exec_merged(&plan, &db), &want);
-        assert_close(&exec_sorted(&plan, &db, &build_sorted(&plan, &db)), &want);
+        assert_close(&run(Layout::MergedHash, &plan, &db), &want);
+        assert_close(&run(Layout::SortedTrie, &plan, &db), &want);
     }
 
     #[test]
@@ -1664,16 +1479,14 @@ mod tests {
                 Column::F64(vec![10.0, 5.0, 3.0, 8.0, 2.0, 77.0]),
             ],
         );
-        let want = exec_materialized(&plan, &db);
-        assert_close(&exec_merged(&plan, &db), &want);
-        assert_close(&exec_pushdown(&plan, &db), &want);
-        assert_close(&exec_array(&plan, &db), &want);
-        let trie = build_fact_trie(&plan, &db);
-        assert_close(&exec_trie(&plan, &db, &trie), &want);
-        let sorted = build_sorted(&plan, &db);
-        assert_close(&exec_sorted(&plan, &db, &sorted), &want);
-        assert_close(&exec_boxed_records(&plan, &db), &want);
-        assert_close(&exec_boxed_scalars(&plan, &db), &want);
+        let want = run(Layout::Materialized, &plan, &db);
+        assert_close(&run(Layout::MergedHash, &plan, &db), &want);
+        assert_close(&run(Layout::Pushdown, &plan, &db), &want);
+        assert_close(&run(Layout::Array, &plan, &db), &want);
+        assert_close(&run(Layout::Trie, &plan, &db), &want);
+        assert_close(&run(Layout::SortedTrie, &plan, &db), &want);
+        assert_close(&run(Layout::BoxedRecords, &plan, &db), &want);
+        assert_close(&run(Layout::BoxedScalars, &plan, &db), &want);
     }
 
     #[test]
@@ -1681,12 +1494,11 @@ mod tests {
         let (db, plan, _) = setup();
         let db = db.take_fact(0);
         let want = vec![0.0; plan.terms.len()];
-        assert_close(&exec_merged(&plan, &db), &want);
-        assert_close(&exec_materialized(&plan, &db), &want);
-        let sorted = build_sorted(&plan, &db);
-        assert_close(&exec_sorted(&plan, &db, &sorted), &want);
+        assert_close(&run(Layout::MergedHash, &plan, &db), &want);
+        assert_close(&run(Layout::Materialized, &plan, &db), &want);
+        assert_close(&run(Layout::SortedTrie, &plan, &db), &want);
         // Parallel configs on an empty table are fine too (zero chunks).
         let cfg = ExecConfig::with_threads(4);
-        assert_close(&exec_merged_cfg(&plan, &db, &cfg), &want);
+        assert_close(&run_cfg(Layout::MergedHash, &plan, &db, &cfg), &want);
     }
 }

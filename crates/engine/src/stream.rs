@@ -32,7 +32,9 @@
 //!   joined rows.
 //! * **Trie / SortedTrie** group rows by the hoistable key prefix; the
 //!   streamed path accumulates per-group row programs during the scan and
-//!   replays the in-memory group/chunk flush discipline at the end.
+//!   replays the in-memory group/chunk flush discipline at the end. With
+//!   no hoistable prefix the in-memory kernel shards its single group by
+//!   `chunk_rows`, so the streamed path runs that kernel per chunk.
 //!
 //! `tests/streaming_equivalence.rs` asserts `==` (not approximate
 //! equality) against the resident executors for every layout.
@@ -41,9 +43,11 @@
 //! same [`crate::exec`] tree as resident preparation — prepared against
 //! a [`crate::exec::Source::StreamSchema`] (resident dims, fact schema
 //! plus on-disk row count) — and [`execute_streaming`] runs it with a
-//! [`crate::exec::Source::Stream`]; the per-layout streaming drivers in
-//! this module are what the tree's nodes call. A [`StreamPrep`] can
-//! render the tree it will run via [`StreamPrep::explain_tree`].
+//! [`crate::exec::Source::Stream`]. Every streamed pass goes through one
+//! chunk driver in this module; the row-sharded layouts run their
+//! resident kernel on each chunk, and the Materialized/Trie/SortedTrie
+//! replays above live here too. A [`StreamPrep`] can render the tree it
+//! will run via [`StreamPrep::explain_tree`].
 //!
 //! ## I/O–compute overlap and memory bound
 //!
@@ -80,7 +84,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Bounded-channel depth of the reader thread: chunks decoded ahead of
 /// the compute side. Two is classic double buffering — one chunk in
@@ -229,19 +233,19 @@ fn empty_fact(meta: &TableMeta) -> ColRelation {
 /// analysis pinned to the *full-table* row count. Built once by
 /// [`prepare_streaming`], reused across passes (training iterations).
 pub struct StreamPrep {
-    tree: Mutex<crate::exec::PlanTree>,
+    tree: crate::exec::PlanTree,
 }
 
 impl StreamPrep {
     /// The layout this state was prepared for.
     pub fn layout(&self) -> Layout {
-        self.tree.lock().expect("stream prep lock").layout()
+        self.tree.layout()
     }
 
     /// Renders the prepared executor tree (see
     /// [`crate::exec::PlanTree::explain`]).
     pub fn explain_tree(&self) -> String {
-        self.tree.lock().expect("stream prep lock").explain()
+        self.tree.explain()
     }
 }
 
@@ -258,9 +262,7 @@ pub fn prepare_streaming(
     let mut tree = crate::exec::build_tree(plan, None, layout, ExecConfig::global());
     tree.prepare(crate::exec::Source::StreamSchema { schema, fact_rows })
         .expect("schema-side streaming preparation does not touch the disk");
-    StreamPrep {
-        tree: Mutex::new(tree),
-    }
+    StreamPrep { tree }
 }
 
 /// Observability of one streaming execution: how much was read and the
@@ -313,10 +315,10 @@ struct TrackedChunk {
     guard: ChunkGuard,
 }
 
-/// The reader-thread factory the per-layout drivers use to (re)start a
-/// chunk stream with a given file projection.
-type SpawnReader<'a> =
-    &'a dyn Fn(&[Sym], &Arc<LiveGauge>) -> Receiver<Result<TrackedChunk, ExportError>>;
+/// A per-chunk relation transform: `map(start, rel)` may replace the
+/// chunk relation, typically appending derived fact columns (logistic's
+/// `__sigma`).
+pub(crate) type ChunkMap<'m> = dyn FnMut(usize, ColRelation) -> ColRelation + 'm;
 
 /// Spawns the reader thread: reopens the fact file (revalidating its
 /// header and checking it still matches what [`StreamSource::open_dir`]
@@ -398,41 +400,6 @@ fn spawn_reader(
     rx
 }
 
-/// Compute-side chunk feed: receives tracked chunks, assembles each into
-/// a fact [`ColRelation`] (optionally through a caller transform that
-/// may append derived columns, e.g. the logistic `__sigma`), and keeps
-/// the previous chunk's guard alive until the next fetch so the gauge
-/// counts the chunk currently being computed.
-struct Feed<'a, 'b> {
-    rx: Receiver<Result<TrackedChunk, ExportError>>,
-    name: Sym,
-    attrs: Vec<Sym>,
-    map: Option<&'a mut (dyn FnMut(usize, ColRelation) -> ColRelation + 'b)>,
-    stats: &'a mut StreamStats,
-    current_guard: Option<ChunkGuard>,
-}
-
-impl Feed<'_, '_> {
-    fn next(&mut self) -> Option<Result<(usize, ColRelation), ExportError>> {
-        self.current_guard = None; // previous chunk fully consumed
-        match self.rx.recv() {
-            Err(_) => None, // reader finished cleanly
-            Ok(Err(e)) => Some(Err(e)),
-            Ok(Ok(t)) => {
-                let rows = t.columns.first().map_or(0, Column::len);
-                self.stats.chunks += 1;
-                self.stats.rows += rows;
-                self.current_guard = Some(t.guard);
-                let mut rel = ColRelation::new(self.name.clone(), self.attrs.clone(), t.columns);
-                if let Some(map) = self.map.as_mut() {
-                    rel = map(t.start, rel);
-                }
-                Some(Ok((t.start, rel)))
-            }
-        }
-    }
-}
-
 /// The columns `plan` touches on the fact side: every dimension's join
 /// key plus every term's fact factors and filter attributes.
 pub fn plan_fact_columns(plan: &ViewPlan) -> Vec<Sym> {
@@ -463,7 +430,7 @@ pub fn plan_fact_columns(plan: &ViewPlan) -> Vec<Sym> {
 /// chunk transform appends, absent from the file), ordered by file
 /// position. A leading file column is kept when the projection would
 /// otherwise be empty so chunk relations report their row count.
-fn file_projection(
+pub(crate) fn file_projection(
     plan: &ViewPlan,
     src: &StreamSource,
     materialized: bool,
@@ -496,7 +463,7 @@ fn file_projection(
 /// Streams the fact table through `prep`'s layout and returns the batch
 /// results plus [`StreamStats`]. For any fixed `cfg.chunk_rows` the
 /// result is bit-identical to the corresponding in-memory
-/// `exec_*_prepared` / [`crate::layout::execute_with`] call at every
+/// [`crate::layout::execute_with`] call at every
 /// thread count (the streamed compute itself is single-threaded; I/O
 /// overlaps it via the reader thread).
 pub fn execute_streaming(
@@ -521,7 +488,7 @@ pub fn execute_streaming_map(
     virtual_cols: &[Sym],
     map_chunk: &mut dyn FnMut(usize, ColRelation) -> ColRelation,
 ) -> Result<(Vec<f64>, StreamStats), ExportError> {
-    let mut tree = prep.tree.lock().expect("stream prep lock");
+    let tree = &prep.tree;
     if tree.plan() != plan {
         panic!(
             "stale StreamPrep: state was built for a different view plan ({built_terms} \
@@ -554,170 +521,72 @@ fn finalize_stats(stats: &mut StreamStats, gauge: &LiveGauge) {
     GLOBAL_PEAK.fetch_max(stats.peak_live_chunks, Ordering::SeqCst);
 }
 
-/// The row-sharded streaming driver shared by the per-chunk layouts
-/// (merged hash, dense array, both boxed dicts) and pushdown: streams
-/// the fact table chunk by chunk into a work database (resident
-/// dimensions, fact swapped per chunk) and hands each chunk to
-/// `on_chunk` along with the running per-term accumulators. Per-chunk
-/// layouts fold a serial partial per chunk (each streamed chunk *is* one
-/// in-memory chunk, merged in ascending order exactly like
-/// `run_chunked_sums`); pushdown adds into the accumulators row by row,
-/// carrying them across chunk boundaries (in memory each term is one
-/// unbroken sequential fold).
+/// The one streaming chunk driver: streams the fact file's `proj`
+/// columns in fixed `cfg.chunk_rows` chunks — the same chunk layout as
+/// the in-memory sharding, which is what bit-identity rests on — passes
+/// each chunk through `map_chunk` when given, and hands `on_chunk` a work
+/// database (resident dimensions, the chunk as fact table). The chunk
+/// being computed keeps its live-gauge guard until it is fully consumed,
+/// so the gauge counts it.
 pub(crate) fn run_row_stream(
-    plan: &ViewPlan,
     src: &StreamSource,
     cfg: &ExecConfig,
-    virtual_cols: &[Sym],
-    map_chunk: &mut dyn FnMut(usize, ColRelation) -> ColRelation,
-    on_chunk: &mut dyn FnMut(&StarDb, &mut [f64]),
-) -> Result<(Vec<f64>, StreamStats), ExportError> {
+    proj: &[Sym],
+    mut map_chunk: Option<&mut ChunkMap<'_>>,
+    on_chunk: &mut dyn FnMut(&StarDb),
+) -> Result<StreamStats, ExportError> {
     let mut stats = StreamStats {
         reader_depth: READER_DEPTH,
         ..StreamStats::default()
     };
-    let proj = file_projection(plan, src, false, virtual_cols);
     let gauge = Arc::new(LiveGauge::default());
-    // One `chunk_rows`-sized unit of the scan — the same chunk layout as
-    // the in-memory sharding, which is what bit-identity rests on.
-    let chunk_rows = cfg.chunk_rows.max(1);
     let rx = spawn_reader(
         src,
         proj.iter().map(|s| s.as_str().to_string()).collect(),
-        chunk_rows,
+        cfg.chunk_rows.max(1),
         Arc::clone(&gauge),
     );
-    let mut feed = Feed {
-        rx,
-        name: src.schema.fact.name.clone(),
-        attrs: proj.clone(),
-        map: Some(map_chunk),
-        stats: &mut stats,
-        current_guard: None,
-    };
-    // Work database: resident dimensions, fact swapped per chunk.
     let mut work = src.schema.with_fact(empty_fact(&src.fact_meta));
-    let mut acc = vec![0.0; plan.terms.len()];
-    while let Some(item) = feed.next() {
-        let (_, rel) = item?;
+    // `recv` fails once the reader has finished cleanly.
+    while let Ok(chunk) = rx.recv() {
+        let TrackedChunk {
+            start,
+            columns,
+            guard,
+        } = chunk?;
+        stats.chunks += 1;
+        stats.rows += columns.first().map_or(0, Column::len);
+        let mut rel = ColRelation::new(src.schema.fact.name.clone(), proj.to_vec(), columns);
+        if let Some(map) = map_chunk.as_mut() {
+            rel = map(start, rel);
+        }
         work.fact = rel;
-        on_chunk(&work, &mut acc);
+        on_chunk(&work);
+        drop(guard);
     }
-    drop(feed);
     finalize_stats(&mut stats, &gauge);
-    Ok((acc, stats))
+    Ok(stats)
 }
 
-macro_rules! driver_scaffold {
-    ($plan:expr, $src:expr, $cfg:expr, $virtual_cols:expr, $materialized:expr) => {{
-        let stats = StreamStats {
-            reader_depth: READER_DEPTH,
-            ..StreamStats::default()
-        };
-        let proj = file_projection($plan, $src, $materialized, $virtual_cols);
-        let gauge = Arc::new(LiveGauge::default());
-        let work = $src.schema.with_fact(empty_fact(&$src.fact_meta));
-        let acc = vec![0.0; $plan.terms.len()];
-        (stats, proj, gauge, work, acc)
-    }};
-}
-
-/// Streaming driver for the materialized layout: index join per row,
-/// matrix flush every `chunk_rows` *joined* rows (see
-/// [`stream_materialized`]).
-pub(crate) fn run_materialized_stream(
+/// Streams `plan`'s fact columns and folds `kernel`'s per-chunk partial
+/// into the running totals in ascending chunk order: each streamed chunk
+/// *is* one in-memory chunk, so this is exactly the fold of
+/// `run_chunked_sums` over the resident kernel.
+pub(crate) fn fold_chunks(
     plan: &ViewPlan,
     src: &StreamSource,
-    key_indexes: &[HashMap<i64, usize>],
     cfg: &ExecConfig,
     virtual_cols: &[Sym],
-    map_chunk: &mut dyn FnMut(usize, ColRelation) -> ColRelation,
+    map_chunk: Option<&mut ChunkMap<'_>>,
+    kernel: &mut dyn FnMut(&StarDb) -> Vec<f64>,
 ) -> Result<(Vec<f64>, StreamStats), ExportError> {
-    let (mut stats, proj, gauge, mut work, mut acc) =
-        driver_scaffold!(plan, src, cfg, virtual_cols, true);
-    let chunk_rows = cfg.chunk_rows.max(1);
-    let spawn = |names: &[Sym], gauge: &Arc<LiveGauge>| {
-        spawn_reader(
-            src,
-            names.iter().map(|s| s.as_str().to_string()).collect(),
-            chunk_rows,
-            Arc::clone(gauge),
-        )
-    };
-    stream_materialized(
-        plan,
-        src,
-        key_indexes,
-        cfg,
-        &proj,
-        &gauge,
-        &spawn,
-        map_chunk,
-        &mut work,
-        &mut stats,
-        &mut acc,
-    )?;
-    finalize_stats(&mut stats, &gauge);
-    Ok((acc, stats))
-}
-
-/// Streaming driver for the trie layout: per-group row-program
-/// accumulation replayed under the in-memory group/chunk flush
-/// discipline (see [`stream_trie`]).
-pub(crate) fn run_trie_stream(
-    plan: &ViewPlan,
-    src: &StreamSource,
-    views: &[HashMap<i64, Vec<f64>>],
-    kp: &KeyPlan,
-    cfg: &ExecConfig,
-    virtual_cols: &[Sym],
-    map_chunk: &mut dyn FnMut(usize, ColRelation) -> ColRelation,
-) -> Result<(Vec<f64>, StreamStats), ExportError> {
-    let (mut stats, proj, gauge, mut work, mut acc) =
-        driver_scaffold!(plan, src, cfg, virtual_cols, false);
-    let chunk_rows = cfg.chunk_rows.max(1);
-    let spawn = |names: &[Sym], gauge: &Arc<LiveGauge>| {
-        spawn_reader(
-            src,
-            names.iter().map(|s| s.as_str().to_string()).collect(),
-            chunk_rows,
-            Arc::clone(gauge),
-        )
-    };
-    stream_trie(
-        plan, src, views, kp, cfg, &proj, &gauge, &spawn, map_chunk, &mut work, &mut stats,
-        &mut acc,
-    )?;
-    finalize_stats(&mut stats, &gauge);
-    Ok((acc, stats))
-}
-
-/// Streaming driver for the sorted-trie layout (see [`stream_sorted`]).
-pub(crate) fn run_sorted_stream(
-    plan: &ViewPlan,
-    src: &StreamSource,
-    views: &[physical::DenseView],
-    kp: &KeyPlan,
-    cfg: &ExecConfig,
-    virtual_cols: &[Sym],
-    map_chunk: &mut dyn FnMut(usize, ColRelation) -> ColRelation,
-) -> Result<(Vec<f64>, StreamStats), ExportError> {
-    let (mut stats, proj, gauge, mut work, mut acc) =
-        driver_scaffold!(plan, src, cfg, virtual_cols, false);
-    let chunk_rows = cfg.chunk_rows.max(1);
-    let spawn = |names: &[Sym], gauge: &Arc<LiveGauge>| {
-        spawn_reader(
-            src,
-            names.iter().map(|s| s.as_str().to_string()).collect(),
-            chunk_rows,
-            Arc::clone(gauge),
-        )
-    };
-    stream_sorted(
-        plan, src, views, kp, cfg, &proj, &gauge, &spawn, map_chunk, &mut work, &mut stats,
-        &mut acc,
-    )?;
-    finalize_stats(&mut stats, &gauge);
+    let mut acc = vec![0.0; plan.terms.len()];
+    let proj = file_projection(plan, src, false, virtual_cols);
+    let stats = run_row_stream(src, cfg, &proj, map_chunk, &mut |work| {
+        for (a, v) in acc.iter_mut().zip(kernel(work)) {
+            *a += v;
+        }
+    })?;
     Ok((acc, stats))
 }
 
@@ -728,20 +597,16 @@ pub(crate) fn run_sorted_stream(
 /// pending buffer, and flush it through
 /// [`physical::batch_over_matrix_cfg`] every `cfg.chunk_rows` **joined**
 /// rows — the exact chunk boundaries the in-memory matrix scan uses.
-#[allow(clippy::too_many_arguments)]
-fn stream_materialized(
+/// The file projection adds every schema dimension's join key: the index
+/// join resolves *all* dimensions, exactly like [`StarDb::join_index`].
+pub(crate) fn stream_materialized(
     plan: &ViewPlan,
     src: &StreamSource,
     key_indexes: &[HashMap<i64, usize>],
     cfg: &ExecConfig,
-    proj: &[Sym],
-    gauge: &Arc<LiveGauge>,
-    spawn: SpawnReader,
-    map_chunk: &mut dyn FnMut(usize, ColRelation) -> ColRelation,
-    work: &mut StarDb,
-    stats: &mut StreamStats,
-    acc: &mut [f64],
-) -> Result<(), ExportError> {
+    virtual_cols: &[Sym],
+    map_chunk: Option<&mut ChunkMap<'_>>,
+) -> Result<(Vec<f64>, StreamStats), ExportError> {
     let dims = &src.schema.dims;
     // Matrix attribute layout mirrors `materialize_via`: fact attributes
     // (here: the projected subset — the plan resolves columns by name and
@@ -753,17 +618,9 @@ fn stream_materialized(
     let w = cfg.chunk_rows.max(1);
     let mut pending: Vec<f64> = Vec::new();
     let mut width = 0usize;
-    let mut f = Feed {
-        rx: spawn(proj, gauge),
-        name: src.schema.fact.name.clone(),
-        attrs: proj.to_vec(),
-        map: Some(map_chunk),
-        stats,
-        current_guard: None,
-    };
-    while let Some(item) = f.next() {
-        let (_, rel) = item?;
-        work.fact = rel;
+    let mut acc = vec![0.0; plan.terms.len()];
+    let proj = file_projection(plan, src, true, virtual_cols);
+    let stats = run_row_stream(src, cfg, &proj, map_chunk, &mut |work| {
         if m_attrs.is_empty() {
             // The chunk transform may have appended derived fact columns;
             // include them so plans over virtual columns resolve.
@@ -813,14 +670,14 @@ fn stream_materialized(
                 }
             }
             if pending.len() == w.saturating_mul(width) {
-                flush_matrix(&mut pending, &m_attrs, width, plan, &serial, acc);
+                flush_matrix(&mut pending, &m_attrs, width, plan, &serial, &mut acc);
             }
         }
-    }
+    })?;
     if !pending.is_empty() {
-        flush_matrix(&mut pending, &m_attrs, width, plan, &serial, acc);
+        flush_matrix(&mut pending, &m_attrs, width, plan, &serial, &mut acc);
     }
-    Ok(())
+    Ok((acc, stats))
 }
 
 /// Aggregates one pending buffer of joined rows (exactly one in-memory
@@ -844,93 +701,39 @@ fn flush_matrix(
     }
 }
 
-/// Streamed trie execution, bit-identical to `exec_trie_prepared` over
+/// Streamed trie execution, bit-identical to `exec_trie_parts` over
 /// the trie built from the same plan: accumulate each prefix group's
 /// row-program sums during the scan (rows arrive in file order — the
 /// same order trie leaves hold them), then replay the in-memory flush:
 /// subtrees in key order, chunked by the derived groups-per-chunk, with
 /// per-level payload hoisting and group-constant multiplication.
-#[allow(clippy::too_many_arguments)]
-fn stream_trie(
+pub(crate) fn stream_trie(
     plan: &ViewPlan,
     src: &StreamSource,
     views: &[HashMap<i64, Vec<f64>>],
     kp: &KeyPlan,
     cfg: &ExecConfig,
-    proj: &[Sym],
-    gauge: &Arc<LiveGauge>,
-    spawn: SpawnReader,
-    map_chunk: &mut dyn FnMut(usize, ColRelation) -> ColRelation,
-    work: &mut StarDb,
-    stats: &mut StreamStats,
-    acc: &mut [f64],
-) -> Result<(), ExportError> {
-    let nterms = plan.terms.len();
-    let nrp = kp.rowprogs.len();
-    let mut f = Feed {
-        rx: spawn(proj, gauge),
-        name: src.schema.fact.name.clone(),
-        attrs: proj.to_vec(),
-        map: Some(map_chunk),
-        stats,
-        current_guard: None,
-    };
-
+    virtual_cols: &[Sym],
+    map_chunk: Option<&mut ChunkMap<'_>>,
+) -> Result<(Vec<f64>, StreamStats), ExportError> {
     if kp.prefix.is_empty() {
         // One leaf holds every row; in memory its rows are sharded by
         // `chunk_rows` — each streamed chunk is one such shard.
-        while let Some(item) = f.next() {
-            let (_, rel) = item?;
-            work.fact = rel;
-            let bounds = physical::bind_dims(plan, work);
-            let fa = physical::FactAccess::bind(plan, work);
-            let n = work.fact.len();
-            let mut local = vec![0.0; nrp];
-            let mut sigval = vec![0.0; kp.sig_reps.len()];
-            let mut hoisted: Vec<Option<&[f64]>> = vec![None; bounds.len()];
-            'row: for i in 0..n {
-                for &di in &kp.remainder {
-                    match views[di].get(&bounds[di].fact_keys[i]) {
-                        Some(p) => hoisted[di] = Some(p),
-                        None => continue 'row,
-                    }
-                }
-                for (s, &rep) in kp.sig_reps.iter().enumerate() {
-                    sigval[s] = fa[rep].eval(i);
-                }
-                for (rp, (sig, rem)) in kp.rowprogs.iter().enumerate() {
-                    let mut v = sigval[*sig];
-                    if v == 0.0 {
-                        continue;
-                    }
-                    for (ri, &di) in kp.remainder.iter().enumerate() {
-                        v *= hoisted[di].expect("set above")[rem[ri]];
-                    }
-                    local[rp] += v;
-                }
-            }
-            let mut partial = vec![0.0; nterms];
-            for (t, _) in plan.terms.iter().enumerate() {
-                let v = local[kp.rowprog_of[t]];
-                if v == 0.0 {
-                    continue;
-                }
-                partial[t] += v;
-            }
-            for (a, v) in acc.iter_mut().zip(partial) {
-                *a += v;
-            }
-        }
-        return Ok(());
+        let serial = ExecConfig::serial();
+        return fold_chunks(plan, src, cfg, virtual_cols, map_chunk, &mut |work| {
+            let trie = physical::build_fact_trie_from(kp, work);
+            physical::exec_trie_parts(plan, work, &trie, views, kp, &serial)
+        });
     }
+    let nterms = plan.terms.len();
+    let nrp = kp.rowprogs.len();
 
     // Scan phase: per-group row-program sums, keyed by the full prefix
     // key tuple (lexicographic order = trie walk order).
     let mut groups: BTreeMap<Vec<i64>, Vec<f64>> = BTreeMap::new();
     let mut keybuf: Vec<i64> = vec![0; kp.prefix.len()];
-    while let Some(item) = f.next() {
-        let (_, rel) = item?;
-        work.fact = rel;
+    let proj = file_projection(plan, src, false, virtual_cols);
+    let stats = run_row_stream(src, cfg, &proj, map_chunk, &mut |work| {
         let bounds = physical::bind_dims(plan, work);
         let fa = physical::FactAccess::bind(plan, work);
         let prefix_cols: Vec<&[i64]> = kp
@@ -977,11 +780,11 @@ fn stream_trie(
                 local[rp] += v;
             }
         }
-    }
+    })?;
 
     // Flush phase: replay the in-memory shard-over-subtrees merge. The
     // subtrees are the distinct first-level keys in ascending order;
-    // groups-per-chunk is derived exactly as in `exec_trie_inner`.
+    // groups-per-chunk is derived exactly as in `exec_trie_parts`.
     let subtree_keys: Vec<i64> = {
         let mut keys: Vec<i64> = groups.keys().map(|k| k[0]).collect();
         keys.dedup(); // BTreeMap iterates sorted
@@ -991,6 +794,7 @@ fn stream_trie(
     let groups_per_chunk =
         (cfg.chunk_rows.max(1).saturating_mul(subtree_keys.len()) / total_rows).max(1);
     let ndims = plan.dims.len();
+    let mut acc = vec![0.0; nterms];
     let mut s = 0;
     while s < subtree_keys.len() {
         let e = (s + groups_per_chunk).min(subtree_keys.len());
@@ -1032,7 +836,7 @@ fn stream_trie(
         }
         s = e;
     }
-    Ok(())
+    Ok((acc, stats))
 }
 
 /// Per-group state of the streamed sorted-trie pass.
@@ -1054,7 +858,7 @@ struct SortedGroup {
 }
 
 /// Streamed sorted-trie execution, bit-identical to
-/// `exec_sorted_prepared`. The in-memory executor scans rows in sorted
+/// `exec_sorted_parts`. The in-memory executor scans rows in sorted
 /// prefix-key order, sharded into `chunk_rows` *positions*; a group
 /// straddling a boundary is flushed once per chunk. Streaming cannot
 /// reorder the file, so it runs two passes: pass 1 counts group sizes
@@ -1065,80 +869,26 @@ struct SortedGroup {
 /// flushed in (chunk, group-rank) order and merged per chunk, exactly
 /// reproducing the in-memory partials. With no hoistable prefix the
 /// sorted order is the file order and a single pass suffices.
-#[allow(clippy::too_many_arguments)]
-fn stream_sorted(
+pub(crate) fn stream_sorted(
     plan: &ViewPlan,
     src: &StreamSource,
     views: &[physical::DenseView],
     kp: &KeyPlan,
     cfg: &ExecConfig,
-    proj: &[Sym],
-    gauge: &Arc<LiveGauge>,
-    spawn: SpawnReader,
-    map_chunk: &mut dyn FnMut(usize, ColRelation) -> ColRelation,
-    work: &mut StarDb,
-    stats: &mut StreamStats,
-    acc: &mut [f64],
-) -> Result<(), ExportError> {
+    virtual_cols: &[Sym],
+    map_chunk: Option<&mut ChunkMap<'_>>,
+) -> Result<(Vec<f64>, StreamStats), ExportError> {
+    if kp.prefix.is_empty() {
+        // Sorted order = file order; one implicitly-open group per chunk.
+        let serial = ExecConfig::serial();
+        return fold_chunks(plan, src, cfg, virtual_cols, map_chunk, &mut |work| {
+            let sorted = physical::build_sorted_from(kp, work);
+            physical::exec_sorted_parts(plan, work, &sorted, views, kp, &serial)
+        });
+    }
     let nterms = plan.terms.len();
     let nrp = kp.rowprogs.len();
     let ndims = plan.dims.len();
-
-    if kp.prefix.is_empty() {
-        // Sorted order = file order; one implicitly-open group per chunk.
-        let mut f = Feed {
-            rx: spawn(proj, gauge),
-            name: src.schema.fact.name.clone(),
-            attrs: proj.to_vec(),
-            map: Some(map_chunk),
-            stats,
-            current_guard: None,
-        };
-        while let Some(item) = f.next() {
-            let (_, rel) = item?;
-            work.fact = rel;
-            let bounds = physical::bind_dims(plan, work);
-            let fa = physical::FactAccess::bind(plan, work);
-            let n = work.fact.len();
-            let mut local = vec![0.0; nrp];
-            let mut sigval = vec![0.0; kp.sig_reps.len()];
-            let mut bases = vec![usize::MAX; ndims];
-            'row: for i in 0..n {
-                for &di in &kp.remainder {
-                    match views[di].base_of(bounds[di].fact_keys[i]) {
-                        Some(b) => bases[di] = b,
-                        None => continue 'row,
-                    }
-                }
-                for (s, &rep) in kp.sig_reps.iter().enumerate() {
-                    sigval[s] = fa[rep].eval(i);
-                }
-                for (rp, (sig, rem)) in kp.rowprogs.iter().enumerate() {
-                    let mut v = sigval[*sig];
-                    if v == 0.0 {
-                        continue;
-                    }
-                    for (ri, &di) in kp.remainder.iter().enumerate() {
-                        v *= views[di].data[bases[di] + rem[ri]];
-                    }
-                    local[rp] += v;
-                }
-            }
-            let mut partial = vec![0.0; nterms];
-            for (t, _) in plan.terms.iter().enumerate() {
-                let v = local[kp.rowprog_of[t]];
-                if v == 0.0 {
-                    continue;
-                }
-                partial[t] += v;
-            }
-            for (a, v) in acc.iter_mut().zip(partial) {
-                *a += v;
-            }
-        }
-        return Ok(());
-    }
-
     let prefix_dims: Vec<usize> = kp
         .prefix
         .iter()
@@ -1155,43 +905,30 @@ fn stream_sorted(
 
     // Pass 1: group sizes, streaming only the prefix key columns.
     let mut sizes: BTreeMap<Vec<i64>, usize> = BTreeMap::new();
-    {
-        let mut pass1_stats = StreamStats::default();
-        let mut f = Feed {
-            rx: spawn(&prefix_col_names, gauge),
-            name: src.schema.fact.name.clone(),
-            attrs: prefix_col_names.clone(),
-            map: None,
-            stats: &mut pass1_stats,
-            current_guard: None,
-        };
-        let mut keybuf: Vec<i64> = vec![0; prefix_col_names.len()];
-        while let Some(item) = f.next() {
-            let (_, rel) = item?;
-            let cols: Vec<&[i64]> = prefix_col_names
-                .iter()
-                .map(|c| {
-                    rel.column(c.as_str())
-                        .expect("prefix key column")
-                        .as_i64()
-                        .expect("int key")
-                })
-                .collect();
-            for i in 0..rel.len() {
-                for (l, col) in cols.iter().enumerate() {
-                    keybuf[l] = col[i];
-                }
-                match sizes.get_mut(keybuf.as_slice()) {
-                    Some(c) => *c += 1,
-                    None => {
-                        sizes.insert(keybuf.clone(), 1);
-                    }
+    let mut keybuf: Vec<i64> = vec![0; prefix_col_names.len()];
+    let pass1 = run_row_stream(src, cfg, &prefix_col_names, None, &mut |work| {
+        let cols: Vec<&[i64]> = prefix_col_names
+            .iter()
+            .map(|c| {
+                work.fact
+                    .column(c.as_str())
+                    .expect("prefix key column")
+                    .as_i64()
+                    .expect("int key")
+            })
+            .collect();
+        for i in 0..work.fact.len() {
+            for (l, col) in cols.iter().enumerate() {
+                keybuf[l] = col[i];
+            }
+            match sizes.get_mut(keybuf.as_slice()) {
+                Some(c) => *c += 1,
+                None => {
+                    sizes.insert(keybuf.clone(), 1);
                 }
             }
         }
-        stats.chunks += pass1_stats.chunks;
-        stats.rows += pass1_stats.rows;
-    }
+    })?;
 
     // Pin each group's position range in the sorted order and resolve its
     // prefix-dimension bases once (the in-memory executor re-hoists per
@@ -1231,21 +968,11 @@ fn stream_sorted(
 
     // Pass 2: accumulate per-(group, chunk) fragments.
     let mut frags: Vec<(usize, usize, Vec<f64>)> = Vec::new(); // (chunk, rank, local)
-    {
-        let mut f = Feed {
-            rx: spawn(proj, gauge),
-            name: src.schema.fact.name.clone(),
-            attrs: proj.to_vec(),
-            map: Some(map_chunk),
-            stats,
-            current_guard: None,
-        };
-        let mut keybuf: Vec<i64> = vec![0; prefix_col_names.len()];
+    let mut stats = {
         let mut sigval = vec![0.0; kp.sig_reps.len()];
         let mut row_bases = vec![usize::MAX; ndims];
-        while let Some(item) = f.next() {
-            let (_, rel) = item?;
-            work.fact = rel;
+        let proj = file_projection(plan, src, false, virtual_cols);
+        run_row_stream(src, cfg, &proj, map_chunk, &mut |work| {
             let bounds = physical::bind_dims(plan, work);
             let fa = physical::FactAccess::bind(plan, work);
             let prefix_cols: Vec<&[i64]> = prefix_col_names
@@ -1307,8 +1034,11 @@ fn stream_sorted(
                     g.local[rp] += v;
                 }
             }
-        }
-    }
+        })?
+    };
+    stats.chunks += pass1.chunks;
+    stats.rows += pass1.rows;
+    stats.peak_live_chunks = stats.peak_live_chunks.max(pass1.peak_live_chunks);
     // Final fragments and per-group metadata, ordered by rank.
     let mut group_meta: Vec<(bool, Vec<usize>)> = vec![(false, Vec::new()); states.len()];
     for (_, g) in states {
@@ -1320,6 +1050,7 @@ fn stream_sorted(
     // Merge: one partial per in-memory chunk, fragments flushed in group
     // order within it, partials added in ascending chunk order.
     let nchunks = src.fact_meta.rows.div_ceil(w);
+    let mut acc = vec![0.0; nterms];
     let mut fi = 0usize;
     for c in 0..nchunks {
         let mut partial = vec![0.0; nterms];
@@ -1345,7 +1076,7 @@ fn stream_sorted(
             *a += v;
         }
     }
-    Ok(())
+    Ok((acc, stats))
 }
 
 #[cfg(test)]

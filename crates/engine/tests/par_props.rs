@@ -4,9 +4,9 @@
 //! and random thread counts — including the empty-chunk (`rows = 0`) and
 //! `rows < threads` edge cases.
 
+use ifaq_engine::exec::{build_tree, Source};
 use ifaq_engine::par::{run_chunked, run_chunked_sums, ExecConfig};
-use ifaq_engine::physical::{exec_materialized_cfg, exec_merged_cfg};
-use ifaq_engine::{Dim, StarDb};
+use ifaq_engine::{Dim, Layout, StarDb};
 use ifaq_ir::Sym;
 use ifaq_query::batch::covar_batch;
 use ifaq_query::{JoinTree, ViewPlan};
@@ -15,6 +15,13 @@ use proptest::prelude::*;
 
 fn cfg(threads: usize, chunk_rows: usize) -> ExecConfig {
     ExecConfig::with_threads(threads).with_chunk_rows(chunk_rows)
+}
+
+/// Prepares and executes `layout` over `db` through the executor tree.
+fn run(layout: Layout, plan: &ViewPlan, db: &StarDb, cfg: &ExecConfig) -> Vec<f64> {
+    let mut tree = build_tree(plan, None, layout, cfg);
+    tree.prepare(Source::Resident(db)).unwrap();
+    tree.execute(Source::Resident(db)).unwrap()
 }
 
 /// A random star database over a fixed two-dimension schema:
@@ -171,10 +178,10 @@ proptest! {
         let tree = JoinTree::build_with_root(&cat, "F", &["D1", "D2"]).unwrap();
         let batch = covar_batch(&["a", "b", "x"], "y");
         let plan = ViewPlan::plan(&batch, &tree, &cat).unwrap();
-        let baseline = exec_merged_cfg(&plan, &db, &cfg(1, chunk_rows));
-        let sharded = exec_merged_cfg(&plan, &db, &cfg(threads, chunk_rows));
+        let baseline = run(Layout::MergedHash, &plan, &db, &cfg(1, chunk_rows));
+        let sharded = run(Layout::MergedHash, &plan, &db, &cfg(threads, chunk_rows));
         prop_assert_eq!(&baseline, &sharded);
-        let reference = exec_materialized_cfg(&plan, &db, &ExecConfig::serial());
+        let reference = run(Layout::Materialized, &plan, &db, &ExecConfig::serial());
         for (t, (p, q)) in baseline.iter().zip(&reference).enumerate() {
             prop_assert!(
                 (p - q).abs() <= 1e-9 * (1.0 + p.abs().max(q.abs())),

@@ -220,6 +220,11 @@ impl MomentsPrep {
     pub fn layout(&self) -> Layout {
         self.layout
     }
+
+    /// The layout's prepared state.
+    pub fn prepared(&self) -> &layout::Prepared {
+        &self.prep
+    }
 }
 
 /// Plans the covar batch and builds `layout_choice`'s θ-free state.

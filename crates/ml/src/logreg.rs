@@ -652,6 +652,11 @@ impl FactorizedTrainer {
         self.layout
     }
 
+    /// The gradient batch's prepared state.
+    pub fn prepared(&self) -> &layout::Prepared {
+        &self.prep
+    }
+
     /// Trains from θ = 0 over the prepared state: per iteration, one
     /// sharded score pass rewriting `__sigma` and one aggregate scan.
     pub fn fit(&mut self, learning_rate: f64, iterations: usize) -> LogisticModel {

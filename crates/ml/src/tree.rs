@@ -13,8 +13,9 @@
 //! matrix by the baseline path). Both paths see identical candidate
 //! thresholds and therefore learn identical trees.
 
-use ifaq_engine::physical;
+use ifaq_engine::exec::{build_tree, Source};
 use ifaq_engine::star::{StarDb, TrainMatrix};
+use ifaq_engine::{ExecConfig, Layout};
 use ifaq_query::batch::{AggBatch, AggSpec, PredOp, Predicate};
 use ifaq_query::{JoinTree, ViewPlan};
 
@@ -300,7 +301,10 @@ pub fn fit_factorized(
     let thresholds = thresholds_from_db(db, features, config.thresholds_per_feature);
     let mut eval = |batch: &AggBatch| {
         let plan = ViewPlan::plan(batch, &tree, &cat).expect("view plan");
-        physical::exec_merged(&plan, db)
+        let mut scan = build_tree(&plan, None, Layout::MergedHash, ExecConfig::global());
+        scan.prepare(Source::Resident(db))
+            .and_then(|()| scan.execute(Source::Resident(db)))
+            .expect("resident merged-view execution is infallible")
     };
     let root = grow(&mut eval, label, features, &thresholds, &[], 0, config);
     RegressionTree {

@@ -1,19 +1,20 @@
-//! Accounting test for prepared-state training: factorized logistic
-//! training must call `ifaq_engine::layout::prepare` a constant number of
-//! times per training run — once for the hoisted covar pass and once for
-//! the per-iteration gradient batch — **independent of the iteration
-//! count**. Before the prepared-state refactor, every iteration's
-//! `execute_with` rebuilt its merged/dense views; this pins the fix.
+//! Accounting test for prepared-state training: factorized training must
+//! prepare its θ-free state once per run — **independent of the
+//! iteration count** — and never again while it iterates. Before the
+//! prepared-state refactor, every iteration's `execute_with` rebuilt its
+//! merged/dense views; this pins the fix.
 //!
-//! This file deliberately holds a single `#[test]` so the process-global
-//! [`ifaq_engine::layout::prepare_invocations`] counter sees no
-//! concurrent tests and exact equality assertions are race-free.
+//! The counts are the per-tree
+//! [`ifaq_engine::exec::PlanTree::prepare_invocations`] of each trainer's
+//! prepared state, so concurrent tests cannot disturb them.
 
-use ifaq_engine::layout::prepare_invocations;
 use ifaq_engine::{ExecConfig, Layout};
 use ifaq_ml::linreg;
-use ifaq_ml::logreg::{self, FactorizedTrainer};
+use ifaq_ml::logreg::FactorizedTrainer;
 use ifaq_storage::{ColRelation, Column};
+
+/// Node-prepares of one prepared tree: aggregate, join/view, scan.
+const ONE_PREPARE: usize = 3;
 
 /// The running-example star with a binarized label column, built inline
 /// (mirrors `logreg::tests::binary_star`, which is private to the crate).
@@ -54,45 +55,44 @@ fn training_prepares_exactly_once_per_run_regardless_of_iterations() {
     let cfg = ExecConfig::serial();
 
     for &layout in Layout::all() {
-        // Logistic: 2 prepares per run — the hoisted covar pass plus the
-        // gradient batch — for 1 iteration and for 25 alike.
+        // Logistic: the gradient batch is prepared once per run, for 1
+        // iteration and for 25 alike.
         let mut counts = Vec::new();
         for iterations in [1usize, 25] {
-            let before = prepare_invocations();
-            let _ =
-                logreg::fit_factorized_cfg(&db, &features, "hot", layout, 0.5, iterations, &cfg);
-            counts.push(prepare_invocations() - before);
+            let mut trainer = FactorizedTrainer::new(&db, &features, "hot", layout, &cfg);
+            let _ = trainer.fit(0.5, iterations);
+            counts.push(trainer.prepared().tree().prepare_invocations());
         }
         assert_eq!(
             counts[0], counts[1],
             "{layout}: prepare count grew with iterations ({counts:?})"
         );
-        assert_eq!(counts[0], 2, "{layout}: covar pass + gradient batch");
+        assert_eq!(
+            counts[0], ONE_PREPARE,
+            "{layout}: one gradient-batch prepare"
+        );
 
         // The trainer splits the same run: all preparation in `new`,
         // none in `fit` — however many times and iterations it runs.
-        let before = prepare_invocations();
         let mut trainer = FactorizedTrainer::new(&db, &features, "hot", layout, &cfg);
-        let after_new = prepare_invocations();
-        assert_eq!(after_new - before, 2, "{layout}: trainer::new prepares");
+        let after_new = trainer.prepared().tree().prepare_invocations();
+        assert_eq!(after_new, ONE_PREPARE, "{layout}: trainer::new prepares");
         let _ = trainer.fit(0.5, 1);
         let _ = trainer.fit(0.5, 25);
         assert_eq!(
-            prepare_invocations(),
+            trainer.prepared().tree().prepare_invocations(),
             after_new,
             "{layout}: fit must never prepare"
         );
 
-        // Linear: one covar pass per fit; prepared moments amortize it.
-        let before = prepare_invocations();
-        let _ = linreg::fit_factorized_cfg(&db, &features, "units", layout, 0.1, 25, &cfg);
-        assert_eq!(prepare_invocations() - before, 1, "{layout}: linreg fit");
+        // Linear: prepared moments amortize the covar pass.
         let mp = linreg::prepare_moments(&db, &features, "units", layout);
-        let after_prep = prepare_invocations();
+        let after_prep = mp.prepared().tree().prepare_invocations();
+        assert_eq!(after_prep, ONE_PREPARE, "{layout}: linreg prepare");
         let _ = linreg::moments_factorized_prepared(&db, &mp, &cfg);
         let _ = linreg::moments_factorized_prepared(&db, &mp, &cfg);
         assert_eq!(
-            prepare_invocations(),
+            mp.prepared().tree().prepare_invocations(),
             after_prep,
             "{layout}: prepared moments must not re-prepare"
         );

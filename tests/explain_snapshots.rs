@@ -15,7 +15,7 @@
 //! results.
 
 use ifaq_datagen::{favorita, retailer, Dataset};
-use ifaq_engine::layout::{execute_with, prepare, prepare_cached, prepare_invocations};
+use ifaq_engine::layout::{execute_with, prepare, prepare_cached};
 use ifaq_engine::{exec, ExecConfig, Layout};
 use ifaq_query::batch::covar_batch;
 use ifaq_query::{JoinTree, ViewPlan};
@@ -141,13 +141,11 @@ fn prepare_invocations_are_counted_once_per_prepare() {
     let ds = favorita(1_000, 7);
     let plan = plan_for(&ds, 2);
 
-    let before = prepare_invocations();
     let prep = prepare(Layout::SortedTrie, &plan, &ds.db);
-    let after_prepare = prepare_invocations();
+    let after_prepare = prep.tree().prepare_invocations();
     assert_eq!(
-        after_prepare - before,
-        1,
-        "one prepare call per layout::prepare"
+        after_prepare, 3,
+        "one node-prepare per tree node (aggregate, join/view, scan) per layout::prepare"
     );
 
     let baseline = execute_with(
@@ -168,7 +166,7 @@ fn prepare_invocations_are_counted_once_per_prepare() {
         }
     }
     assert_eq!(
-        prepare_invocations(),
+        prep.tree().prepare_invocations(),
         after_prepare,
         "execute_with must never re-prepare"
     );

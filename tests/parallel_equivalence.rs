@@ -144,6 +144,36 @@ fn chunk_size_fixed_results_identical_across_thread_counts() {
     }
 }
 
+/// One `Prepared` serves concurrent executes: for every layout, 4 threads
+/// execute the same shared state at once, and each result must bit-equal
+/// the serial execute over it.
+#[test]
+fn shared_prepared_executes_concurrently_from_four_threads() {
+    let ds = favorita(1_500, 13);
+    let features = ds.feature_refs();
+    let batch = covar_batch(&features, &ds.label);
+    let plan = plan_batch(&ds, &batch);
+    let cfg = ExecConfig::serial();
+    for &layout in Layout::all() {
+        let prep = prepare(layout, &plan, &ds.db);
+        let serial = execute_with(layout, &plan, &ds.db, &prep, &cfg);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            let runs: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        execute_with(layout, &plan, &ds.db, &prep, &cfg)
+                    })
+                })
+                .collect();
+            for run in runs {
+                assert_eq!(run.join().unwrap(), serial, "{layout}");
+            }
+        });
+    }
+}
+
 #[test]
 fn chunk_size_changes_stay_within_documented_tolerance() {
     // Different chunk sizes re-associate the reduction; the ULP drift must

@@ -182,15 +182,22 @@ proptest! {
         let tree = JoinTree::build_with_root(&cat, "F", &["D1", "D2"]).unwrap();
         let batch = covar_batch(&["p1", "p2"], "m");
         let plan = ViewPlan::plan(&batch, &tree, &cat).unwrap();
-        let reference = ifaq_engine::layout::execute(
+        let reference = ifaq_engine::layout::execute_with(
             Layout::Materialized,
             &plan,
             &db,
             &ifaq_engine::layout::prepare(Layout::Materialized, &plan, &db),
+            ifaq_engine::ExecConfig::global(),
         );
         for &layout in Layout::all() {
             let prep = ifaq_engine::layout::prepare(layout, &plan, &db);
-            let got = ifaq_engine::layout::execute(layout, &plan, &db, &prep);
+            let got = ifaq_engine::layout::execute_with(
+                layout,
+                &plan,
+                &db,
+                &prep,
+                ifaq_engine::ExecConfig::global(),
+            );
             for (a, b) in reference.iter().zip(&got) {
                 let tol = 1e-9 * (1.0 + a.abs().max(b.abs()));
                 prop_assert!((a - b).abs() <= tol, "{:?}: {} vs {}", layout, a, b);
