@@ -28,6 +28,7 @@ use ifaq_query::batch::covar_batch;
 use ifaq_query::{JoinTree, ViewPlan};
 use ifaq_storage::export::table_file_name;
 use ifaq_storage::stream::ExportError;
+use ifaq_storage::Column;
 use std::path::PathBuf;
 
 /// Thread counts required by the acceptance criteria. The streamed
@@ -170,7 +171,7 @@ fn logreg_trained_from_stream_matches_materialized() {
     let cfg = ExecConfig::with_threads(4).with_chunk_rows(131);
     let m = ds.db.materialize();
     let materialized = logreg::fit_materialized(&m, &features, &ds.label, 0.5, 60);
-    for layout in [Layout::MergedHash, Layout::Array] {
+    for &layout in Layout::all() {
         let resident =
             logreg::fit_factorized_cfg(&ds.db, &features, &ds.label, layout, 0.5, 60, &cfg);
         let streamed =
@@ -191,6 +192,54 @@ fn logreg_trained_from_stream_matches_materialized() {
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();
+
+    // A fact row whose item key no dimension holds: both paths score it
+    // 0.0 and the inner join drops it, so they still agree bitwise.
+    let small = favorita(200, 46).binarize_label();
+    let dangling = with_dangling_key(&small.db, "item");
+    let dir = tmpdir("logreg_dangling");
+    dangling.export_dir(&dir).unwrap();
+    let src = StreamSource::open_dir(&dir).unwrap();
+    for &layout in Layout::all() {
+        for chunk_rows in [1, 2, 100] {
+            let cfg = ExecConfig::with_threads(2).with_chunk_rows(chunk_rows);
+            let resident = logreg::fit_factorized_cfg(
+                &dangling,
+                &features,
+                &small.label,
+                layout,
+                0.5,
+                20,
+                &cfg,
+            );
+            let streamed =
+                logreg::fit_streamed(&src, &features, &small.label, layout, 0.5, 20, &cfg).unwrap();
+            assert_eq!(streamed, resident, "{layout} chunk_rows {chunk_rows}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `db` with fact row 0's `key` replaced by one past the largest key the
+/// dimension joined on `key` holds, so that row joins with nothing.
+fn with_dangling_key(db: &StarDb, key: &str) -> StarDb {
+    let dim = db.dims.iter().find(|d| d.key.as_str() == key).unwrap();
+    let max = dim
+        .rel
+        .column(key)
+        .unwrap()
+        .as_i64()
+        .unwrap()
+        .iter()
+        .max()
+        .copied();
+    let mut fact = db.fact.clone();
+    let col = fact.attrs.iter().position(|a| a.as_str() == key).unwrap();
+    match &mut fact.columns[col] {
+        Column::I64(keys) => keys[0] = max.unwrap_or(0) + 1,
+        Column::F64(_) => panic!("join key `{key}` is not an integer column"),
+    }
+    db.with_fact(fact)
 }
 
 #[test]
