@@ -9,7 +9,7 @@
 
 use ifaq_bench::{print_header, print_row, HarnessArgs};
 use ifaq_datagen::{favorita, retailer};
-use ifaq_engine::Layout;
+use ifaq_engine::{ExecConfig, Layout};
 use ifaq_ml::baseline::{scikit_like_linreg, tf_like_linreg, MemoryBudget};
 use ifaq_ml::linreg;
 use ifaq_ml::metrics::{linreg_rmse, tree_rmse};
@@ -36,8 +36,15 @@ fn main() {
         let features = ds.feature_refs();
         let train_matrix = train.materialize();
 
-        let ifaq_model =
-            linreg::fit_factorized(&train, &features, &ds.label, Layout::MergedHash, 0.5, 300);
+        let ifaq_model = linreg::fit_factorized_cfg(
+            &train,
+            &features,
+            &ds.label,
+            Layout::MergedHash,
+            0.5,
+            300,
+            ExecConfig::global(),
+        );
         let closed = scikit_like_linreg(
             &train_matrix,
             &features,

@@ -17,13 +17,12 @@ use ifaq_bench::{print_header, print_row, secs, time_once, HarnessArgs};
 use ifaq_datagen::favorita;
 use ifaq_engine::par::ExecConfig;
 use ifaq_engine::stream::{
-    execute_streaming, peak_live_chunks_ever, plan_fact_columns, prepare_streaming, StreamSource,
-    READER_DEPTH,
+    execute_streaming, plan_fact_columns, prepare_streaming, StreamSource, READER_DEPTH,
 };
 use ifaq_engine::Layout;
 use ifaq_ml::linreg::{fit_streamed, moments_factorized_cfg, moments_streamed};
 use ifaq_query::batch::covar_batch;
-use ifaq_query::{JoinTree, ViewPlan};
+use ifaq_query::ViewPlan;
 
 /// Best-effort `VmRSS`/`VmHWM` (kB) from `/proc/self/status`; `None`
 /// off Linux.
@@ -95,8 +94,7 @@ fn main() {
     // One raw covar pass to surface the reader-pool stats and size the
     // live streaming buffer against the resident fact table.
     let cat = db.catalog();
-    let dim_names: Vec<&str> = db.dims.iter().map(|d| d.rel.name.as_str()).collect();
-    let tree = JoinTree::build_with_root(&cat, db.fact.name.as_str(), &dim_names).expect("tree");
+    let tree = db.join_tree(&cat).expect("tree");
     let batch = covar_batch(&features, &ds.label);
     let plan = ViewPlan::plan(&batch, &tree, &cat).expect("plan");
     let prep = prepare_streaming(Layout::MergedHash, &plan, src.schema_db(), src.fact_rows());
@@ -142,10 +140,10 @@ fn main() {
         .expect("fit")
     });
     println!(
-        "\nlinreg fit_streamed (200 BGD iters over streamed moments): {} — {} weights, peak live chunks ever {} (bound {})",
+        "\nlinreg fit_streamed (200 BGD iters over streamed moments): {} — {} weights, peak live chunks from this export {} (bound {})",
         secs(t_fit),
         model.weights.len(),
-        peak_live_chunks_ever(),
+        src.peak_live_chunks(),
         READER_DEPTH + 2
     );
 

@@ -9,7 +9,7 @@ use ifaq_ir::verify::{Verifier, VerifyError, VerifyLevel};
 use ifaq_ir::{Catalog, Program, ScalarType, Sym, Type, TypeChecker, TypeError};
 use ifaq_query::analysis::{self, Analysis};
 use ifaq_query::extract::{extract_aggregates, Extraction};
-use ifaq_query::{AggBatch, JoinTree, ViewPlan};
+use ifaq_query::{AggBatch, ViewPlan};
 use ifaq_storage::Value;
 use ifaq_transform::highlevel::{optimize_program, HighLevelReport};
 use ifaq_transform::specialize::specialize_program;
@@ -455,8 +455,8 @@ impl Compiled {
             return Ok(None);
         }
         let catalog = db.catalog();
-        let dim_names: Vec<&str> = db.dims.iter().map(|d| d.rel.name.as_str()).collect();
-        let tree = JoinTree::build_with_root(&catalog, db.fact.name.as_str(), &dim_names)
+        let tree = db
+            .join_tree(&catalog)
             .map_err(|e| PipelineError::JoinTree(e.to_string()))?;
         let plan = ViewPlan::plan(&self.batch, &tree, &catalog)
             .map_err(|e| PipelineError::Plan(e.to_string()))?;

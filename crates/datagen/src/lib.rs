@@ -10,7 +10,8 @@
 //! Retailer, 6 for Favorita). The optimizations under study (factorized
 //! aggregates, view merging, tries) are sensitive to the structure and
 //! cardinalities, not to the numeric payloads, so shape-preserving
-//! synthesis exercises the same code paths. See DESIGN.md "Substitutions".
+//! synthesis exercises the same code paths. That is the substitution:
+//! seeded synthetic data of the same shape in place of the real datasets.
 //!
 //! Both generators also produce a train/test split in the spirit of the
 //! paper's setup ("all dates except the last month" for training): the

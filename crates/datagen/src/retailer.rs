@@ -15,7 +15,8 @@
 //! `locn` (each location's zip demographics denormalized per location)
 //! keeps the join a star without changing the aggregate structure — every
 //! attribute still reaches the fact table through exactly one key. This
-//! substitution is recorded in DESIGN.md.
+//! rekeying is the one place the synthetic schema departs from the real
+//! one.
 
 use crate::favorita::skewed_index;
 use crate::Dataset;

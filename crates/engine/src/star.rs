@@ -10,6 +10,8 @@
 //! must build before learning, and the input to the baseline learners.
 
 use ifaq_ir::{Attribute, Catalog, RelSchema, ScalarType, Sym};
+use ifaq_query::jointree::JoinTreeError;
+use ifaq_query::JoinTree;
 use ifaq_storage::{ColRelation, Column};
 use std::collections::HashMap;
 use std::path::Path;
@@ -186,6 +188,13 @@ impl StarDb {
             cat.add_relation(rel_schema(&d.rel));
         }
         cat
+    }
+
+    /// The star's join tree: rooted at the fact table, every dimension a
+    /// child. `cat` must describe this database (see [`StarDb::catalog`]).
+    pub fn join_tree(&self, cat: &Catalog) -> Result<JoinTree, JoinTreeError> {
+        let dims: Vec<&str> = self.dims.iter().map(|d| d.rel.name.as_str()).collect();
+        JoinTree::build_with_root(cat, self.fact.name.as_str(), &dims)
     }
 
     /// Restricts the fact table to its first `n` rows (scaled variants).

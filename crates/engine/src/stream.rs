@@ -92,20 +92,6 @@ use std::sync::Arc;
 /// `READER_DEPTH + 2`.
 pub const READER_DEPTH: usize = 2;
 
-/// Process-wide high-water mark of simultaneously-alive chunks across
-/// *every* streaming execution so far. Only ever grows. Lets a test
-/// assert the out-of-core bound held throughout a whole multi-pass
-/// workload (e.g. a full training run) whose per-execution
-/// [`StreamStats`] it never sees.
-static GLOBAL_PEAK: AtomicUsize = AtomicUsize::new(0);
-
-/// The largest [`StreamStats::peak_live_chunks`] observed by any
-/// streaming execution in this process — if streaming never exceeded
-/// the `READER_DEPTH + 2` bound anywhere, this says so.
-pub fn peak_live_chunks_ever() -> usize {
-    GLOBAL_PEAK.load(Ordering::SeqCst)
-}
-
 /// An on-disk star export opened for streaming: resident dimensions, a
 /// schema-only (empty) fact relation for planning/preparation, and the
 /// fact table's parsed header. Produced by [`StreamSource::open_dir`]
@@ -116,6 +102,9 @@ pub struct StreamSource {
     fact_meta: TableMeta,
     /// Dimensions resident, fact empty (schema only).
     schema: StarDb,
+    /// High-water mark of simultaneously-alive chunks over every
+    /// streaming execution from this source; only ever grows.
+    peak: AtomicUsize,
 }
 
 impl std::fmt::Debug for StreamSource {
@@ -180,6 +169,7 @@ impl StreamSource {
             fact_path,
             fact_meta,
             schema,
+            peak: AtomicUsize::new(0),
         })
     }
 
@@ -208,6 +198,15 @@ impl StreamSource {
     /// Path of the fact table's `IFAQTBL1` file.
     pub fn fact_path(&self) -> &Path {
         &self.fact_path
+    }
+
+    /// The largest [`StreamStats::peak_live_chunks`] of any streaming
+    /// execution from this source so far (0 if it never streamed) — lets
+    /// a caller assert the `READER_DEPTH + 2` bound held throughout a
+    /// multi-pass workload, such as a whole training run, whose
+    /// per-execution [`StreamStats`] it never sees.
+    pub fn peak_live_chunks(&self) -> usize {
+        self.peak.load(Ordering::SeqCst)
     }
 }
 
@@ -514,13 +513,6 @@ pub fn execute_streaming_map(
     Ok((acc, stats))
 }
 
-/// Finishes a streaming run's accounting: records the gauge's peak in
-/// `stats` and folds it into the process-wide high-water mark.
-fn finalize_stats(stats: &mut StreamStats, gauge: &LiveGauge) {
-    stats.peak_live_chunks = gauge.peak.load(Ordering::SeqCst);
-    GLOBAL_PEAK.fetch_max(stats.peak_live_chunks, Ordering::SeqCst);
-}
-
 /// The one streaming chunk driver: streams the fact file's `proj`
 /// columns in fixed `cfg.chunk_rows` chunks — the same chunk layout as
 /// the in-memory sharding, which is what bit-identity rests on — passes
@@ -564,7 +556,9 @@ pub(crate) fn run_row_stream(
         on_chunk(&work);
         drop(guard);
     }
-    finalize_stats(&mut stats, &gauge);
+    // Record the gauge's peak and fold it into the source's high-water mark.
+    stats.peak_live_chunks = gauge.peak.load(Ordering::SeqCst);
+    src.peak.fetch_max(stats.peak_live_chunks, Ordering::SeqCst);
     Ok(stats)
 }
 

@@ -5,8 +5,8 @@
 //! dense matrix. We cannot ship those systems in a Rust workspace; what
 //! the experiments measure is the *pipeline architecture* — materialize
 //! cost plus dense-matrix learning cost versus IFAQ's fused factorized
-//! computation — which these reimplementations preserve (see DESIGN.md
-//! "Substitutions"):
+//! computation — which these reimplementations preserve; they stand in
+//! for the real systems, which this repository does not run:
 //!
 //! * [`scikit_like_linreg`] / [`scikit_like_tree`] /
 //!   [`scikit_like_logreg`]: closed-form least squares over the materialized
@@ -132,29 +132,7 @@ pub fn tf_like_linreg(
         .collect();
     let label_col = m.col(label).expect("label");
     // Standardize from a first pass, as tf.feature_column pipelines do.
-    let n = (m.rows as f64).max(1.0);
-    let mut mean = vec![0.0; d];
-    let mut meansq = vec![0.0; d];
-    for r in 0..m.rows {
-        let row = m.row(r);
-        for (i, &c) in cols.iter().enumerate() {
-            mean[i + 1] += row[c];
-            meansq[i + 1] += row[c] * row[c];
-        }
-    }
-    for i in 1..d {
-        mean[i] /= n;
-        meansq[i] /= n;
-    }
-    let std: Vec<f64> = (0..d)
-        .map(|i| {
-            if i == 0 {
-                1.0
-            } else {
-                (meansq[i] - mean[i] * mean[i]).max(1e-12).sqrt()
-            }
-        })
-        .collect();
+    let stdz = logreg::Standardizer::from_matrix(m, &cols);
     let mut theta = vec![0.0; d];
     let mut x = vec![0.0; d];
     let batch_size = batch_size.max(1);
@@ -167,7 +145,7 @@ pub fn tf_like_linreg(
             let row = m.row(r);
             x[0] = 1.0;
             for (i, &c) in cols.iter().enumerate() {
-                x[i + 1] = (row[c] - mean[i + 1]) / std[i + 1];
+                x[i + 1] = (row[c] - stdz.mean[i + 1]) / stdz.std[i + 1];
             }
             let err: f64 = theta.iter().zip(&x).map(|(t, xi)| t * xi).sum::<f64>() - row[label_col];
             for i in 0..d {
@@ -179,12 +157,7 @@ pub fn tf_like_linreg(
         }
         start = end;
     }
-    let mut weights = Vec::with_capacity(d - 1);
-    let mut intercept = theta[0];
-    for i in 1..d {
-        weights.push(theta[i] / std[i]);
-        intercept -= theta[i] * mean[i] / std[i];
-    }
+    let (intercept, weights) = stdz.to_raw(&theta);
     LinearModel {
         features: features.iter().map(|s| s.to_string()).collect(),
         intercept,

@@ -16,8 +16,10 @@
 //!   the training matrix first, then learn over it. [`baseline`]
 //!   reimplements the *shapes* of scikit-learn (closed form over the dense
 //!   matrix), TensorFlow (one epoch of mini-batch SGD), and mlpack (which
-//!   copies the matrix for its transpose and exhausts memory first) — see
-//!   DESIGN.md "Substitutions".
+//!   copies the matrix for its transpose and exhausts memory first). The
+//!   substitution: those systems cannot ship in a Rust workspace, so these
+//!   are shape-for-shape reimplementations of their pipelines, not
+//!   bindings to them.
 //!
 //! [`metrics`] provides RMSE/MAE/R², and [`onehot`] the one-hot expansion
 //! used in the §5 categorical-attributes discussion.

@@ -14,11 +14,12 @@
 //! tree per layout — the numeric path is unchanged, so cached-prepare
 //! refits stay bit-identical to fresh fits.
 
+use crate::logreg::Standardizer;
 use ifaq_engine::star::{StarDb, TrainMatrix};
 use ifaq_engine::stream::{execute_streaming, prepare_streaming, StreamSource};
 use ifaq_engine::{layout, ExecConfig, Layout};
 use ifaq_query::batch::covar_batch;
-use ifaq_query::{JoinTree, ViewPlan};
+use ifaq_query::ViewPlan;
 use ifaq_storage::stream::ExportError;
 
 /// A trained linear model: `predict(x) = intercept + Σ weights[i]·x[fi]`.
@@ -176,19 +177,9 @@ pub fn moments_from_batch(features: &[&str], label: &str, results: &[f64]) -> Mo
 
 /// Computes [`Moments`] directly over the input database through a chosen
 /// engine layout — the IFAQ path: no join materialization, one pass over
-/// each relation.
-pub fn moments_factorized(
-    db: &StarDb,
-    features: &[&str],
-    label: &str,
-    layout_choice: Layout,
-) -> Moments {
-    moments_factorized_cfg(db, features, label, layout_choice, ExecConfig::global())
-}
-
-/// [`moments_factorized`] with the batch scan sharded per `cfg`
-/// (one-shot: plans and prepares internally; see [`prepare_moments`] to
-/// amortize that over repeated passes).
+/// each relation — with the batch scan sharded per `cfg` (one-shot: plans
+/// and prepares internally; see [`prepare_moments`] to amortize that over
+/// repeated passes).
 pub fn moments_factorized_cfg(
     db: &StarDb,
     features: &[&str],
@@ -227,6 +218,13 @@ impl MomentsPrep {
     }
 }
 
+/// The covar batch planned over `db`'s star join tree.
+fn covar_plan(db: &StarDb, features: &[&str], label: &str) -> ViewPlan {
+    let cat = db.catalog();
+    let tree = db.join_tree(&cat).expect("join tree");
+    ViewPlan::plan(&covar_batch(features, label), &tree, &cat).expect("view plan")
+}
+
 /// Plans the covar batch and builds `layout_choice`'s θ-free state.
 pub fn prepare_moments(
     db: &StarDb,
@@ -234,12 +232,7 @@ pub fn prepare_moments(
     label: &str,
     layout_choice: Layout,
 ) -> MomentsPrep {
-    let cat = db.catalog();
-    let dim_names: Vec<&str> = db.dims.iter().map(|d| d.rel.name.as_str()).collect();
-    let tree =
-        JoinTree::build_with_root(&cat, db.fact.name.as_str(), &dim_names).expect("join tree");
-    let batch = covar_batch(features, label);
-    let plan = ViewPlan::plan(&batch, &tree, &cat).expect("view plan");
+    let plan = covar_plan(db, features, label);
     let prep = layout::prepare(layout_choice, &plan, db);
     MomentsPrep {
         features: features.iter().map(|s| s.to_string()).collect(),
@@ -272,14 +265,8 @@ pub fn moments_streamed(
     layout_choice: Layout,
     cfg: &ExecConfig,
 ) -> Result<Moments, ExportError> {
-    let db = src.schema_db();
-    let cat = db.catalog();
-    let dim_names: Vec<&str> = db.dims.iter().map(|d| d.rel.name.as_str()).collect();
-    let tree =
-        JoinTree::build_with_root(&cat, db.fact.name.as_str(), &dim_names).expect("join tree");
-    let batch = covar_batch(features, label);
-    let plan = ViewPlan::plan(&batch, &tree, &cat).expect("view plan");
-    let prep = prepare_streaming(layout_choice, &plan, db, src.fact_rows());
+    let plan = covar_plan(src.schema_db(), features, label);
+    let prep = prepare_streaming(layout_choice, &plan, src.schema_db(), src.fact_rows());
     let (results, _stats) = execute_streaming(&plan, src, &prep, cfg)?;
     Ok(moments_from_batch(features, label, &results))
 }
@@ -398,34 +385,17 @@ pub fn fit_bgd(moments: &Moments, learning_rate: f64, iterations: usize) -> Line
     let d = moments.dim();
     let n = moments.count.max(1.0);
     // Standardization parameters from the moments.
-    let mean: Vec<f64> = (0..d).map(|i| moments.g(0, i) / n).collect();
-    let std: Vec<f64> = (0..d)
-        .map(|i| {
-            if i == 0 {
-                1.0
-            } else {
-                let var = moments.g(i, i) / n - mean[i] * mean[i];
-                var.max(1e-12).sqrt()
-            }
-        })
-        .collect();
-    // Standardized Gram and XᵀY: x'_i = (x_i - μ_i)/σ_i (x'_0 = 1).
+    let stdz = Standardizer::from_moments(moments);
+    // Standardized Gram and XᵀY: x'_i = (x_i - μ_i)/σ_i (x'_0 = 1, as
+    // μ_0 = 0 and σ_0 = 1).
     // G'_{ij} = (G_{ij} - μ_i G_{0j} - μ_j G_{0i} + μ_i μ_j n)/(σ_i σ_j).
     let mut g2 = vec![0.0; d * d];
     let mut b2 = vec![0.0; d];
     for i in 0..d {
-        let (mi, si) = if i == 0 {
-            (0.0, 1.0)
-        } else {
-            (mean[i], std[i])
-        };
+        let (mi, si) = (stdz.mean[i], stdz.std[i]);
         b2[i] = (moments.xty[i] - mi * moments.xty[0]) / si;
         for j in 0..d {
-            let (mj, sj) = if j == 0 {
-                (0.0, 1.0)
-            } else {
-                (mean[j], std[j])
-            };
+            let (mj, sj) = (stdz.mean[j], stdz.std[j]);
             g2[i * d + j] = (moments.g(i, j) - mi * moments.g(0, j) - mj * moments.g(i, 0)
                 + mi * mj * n)
                 / (si * sj);
@@ -443,13 +413,7 @@ pub fn fit_bgd(moments: &Moments, learning_rate: f64, iterations: usize) -> Line
         }
     }
     // Map back: w_i = θ'_i/σ_i; intercept = θ'_0 - Σ θ'_i μ_i/σ_i.
-    let mut weights = Vec::with_capacity(d - 1);
-    let mut intercept = theta[0];
-    for i in 1..d {
-        let w = theta[i] / std[i];
-        intercept -= theta[i] * mean[i] / std[i];
-        weights.push(w);
-    }
+    let (intercept, weights) = stdz.to_raw(&theta);
     LinearModel {
         features: moments.features.clone(),
         intercept,
@@ -457,28 +421,9 @@ pub fn fit_bgd(moments: &Moments, learning_rate: f64, iterations: usize) -> Line
     }
 }
 
-/// The IFAQ end-to-end path: factorized moments + BGD.
-pub fn fit_factorized(
-    db: &StarDb,
-    features: &[&str],
-    label: &str,
-    layout_choice: Layout,
-    learning_rate: f64,
-    iterations: usize,
-) -> LinearModel {
-    fit_factorized_cfg(
-        db,
-        features,
-        label,
-        layout_choice,
-        learning_rate,
-        iterations,
-        ExecConfig::global(),
-    )
-}
-
-/// [`fit_factorized`] with the moment computation sharded per `cfg` (BGD
-/// itself iterates over the hoisted moments only — nothing to shard).
+/// The IFAQ end-to-end path: factorized moments + BGD, with the moment
+/// computation sharded per `cfg` (BGD itself iterates over the hoisted
+/// moments only — nothing to shard).
 #[allow(clippy::too_many_arguments)]
 pub fn fit_factorized_cfg(
     db: &StarDb,
@@ -511,30 +456,7 @@ pub fn fit_bgd_rescan(
     let label_col = m.col(label).expect("label");
     let n = (m.rows as f64).max(1.0);
     // Standardize with a first pass (gives the same trajectory as fit_bgd).
-    let mut mean = vec![0.0; d];
-    let mut meansq = vec![0.0; d];
-    mean[0] = 1.0;
-    meansq[0] = 1.0;
-    for r in 0..m.rows {
-        let row = m.row(r);
-        for (i, &c) in cols.iter().enumerate() {
-            mean[i + 1] += row[c];
-            meansq[i + 1] += row[c] * row[c];
-        }
-    }
-    for i in 1..d {
-        mean[i] /= n;
-        meansq[i] /= n;
-    }
-    let std: Vec<f64> = (0..d)
-        .map(|i| {
-            if i == 0 {
-                1.0
-            } else {
-                (meansq[i] - mean[i] * mean[i]).max(1e-12).sqrt()
-            }
-        })
-        .collect();
+    let stdz = Standardizer::from_matrix(m, &cols);
     let mut theta = vec![0.0; d];
     let mut x = vec![0.0; d];
     for _ in 0..iterations {
@@ -543,7 +465,7 @@ pub fn fit_bgd_rescan(
             let row = m.row(r);
             x[0] = 1.0;
             for (i, &c) in cols.iter().enumerate() {
-                x[i + 1] = (row[c] - mean[i + 1]) / std[i + 1];
+                x[i + 1] = (row[c] - stdz.mean[i + 1]) / stdz.std[i + 1];
             }
             let err: f64 = theta.iter().zip(&x).map(|(t, xi)| t * xi).sum::<f64>() - row[label_col];
             for i in 0..d {
@@ -554,12 +476,7 @@ pub fn fit_bgd_rescan(
             theta[i] -= learning_rate / n * grad[i];
         }
     }
-    let mut weights = Vec::with_capacity(d - 1);
-    let mut intercept = theta[0];
-    for i in 1..d {
-        weights.push(theta[i] / std[i]);
-        intercept -= theta[i] * mean[i] / std[i];
-    }
+    let (intercept, weights) = stdz.to_raw(&theta);
     LinearModel {
         features: features.iter().map(|s| s.to_string()).collect(),
         intercept,
@@ -632,7 +549,8 @@ mod tests {
         let db = running_example_star();
         let features = ["city", "price"];
         for layout_choice in ifaq_engine::Layout::all() {
-            let fact = moments_factorized(&db, &features, "units", *layout_choice);
+            let cfg = ifaq_engine::ExecConfig::global();
+            let fact = moments_factorized_cfg(&db, &features, "units", *layout_choice, cfg);
             let m = db.materialize();
             let mat = moments_from_matrix(&m, &features, "units");
             for (a, b) in fact.gram.iter().zip(&mat.gram) {

@@ -7,7 +7,7 @@
 //!
 //! 1. the score `θᵀx` is linear over the joined tuple, so a per-row score
 //!    pass needs only one weighted view per dimension plus the fact
-//!    columns — no join materialization ([`fact_scores`]);
+//!    columns — no join materialization ([`fact_scores_prepared`]);
 //! 2. with the scores bound as a derived fact column `__sigma = σ(θᵀx)`,
 //!    the gradient aggregates `Σ σ` and `Σ σ·x_j` are ordinary
 //!    sum-of-product aggregates ([`ifaq_query::batch::logistic_gradient_batch`])
@@ -43,9 +43,11 @@ use ifaq_engine::{layout, ExecConfig, Layout};
 use ifaq_ir::Sym;
 use ifaq_query::analysis;
 use ifaq_query::batch::{covar_batch, logistic_gradient_batch, AggBatch, AggSpec};
-use ifaq_query::{JoinTree, ViewPlan};
+use ifaq_query::ViewPlan;
 use ifaq_storage::stream::ExportError;
 use ifaq_storage::{ColRelation, Column};
+use std::collections::HashMap;
+use std::convert::Infallible;
 use std::ops::Range;
 
 /// Name of the derived fact column holding the per-row `σ(θᵀx)` values
@@ -169,9 +171,8 @@ impl LogisticModel {
 }
 
 /// Standardization parameters (mean 0 / variance 1 per feature, intercept
-/// untouched) shared by both training paths and the baseline shapes, so a
-/// single learning rate works across datasets — mirroring
-/// `linreg::fit_bgd`.
+/// untouched) shared by the linear and logistic training paths and the
+/// baseline shapes, so a single learning rate works across datasets.
 pub(crate) struct Standardizer {
     /// Per-column means; index 0 is the intercept (0.0).
     pub(crate) mean: Vec<f64>,
@@ -191,7 +192,7 @@ impl Standardizer {
         Standardizer { mean, std }
     }
 
-    fn from_moments(moments: &Moments) -> Standardizer {
+    pub(crate) fn from_moments(moments: &Moments) -> Standardizer {
         let d = moments.features.len() + 1;
         let n = moments.count.max(1.0);
         let first: Vec<f64> = (0..d).map(|i| moments.gram[i]).collect();
@@ -315,19 +316,9 @@ fn owner_of(db: &StarDb, attr: &str) -> Option<Owner> {
 /// Sentinel marking a fact row whose key misses a dimension.
 const MISS: u32 = u32::MAX;
 
-/// Loop-invariant preprocessing for the per-iteration score pass: for
-/// every dimension owning at least one feature, the fact-row → dimension-
-/// row resolution (an index join, resolved once per training run —
-/// duplicate dimension keys keep the last row, matching
-/// [`StarDb::materialize`]'s key index). With this hoisted, an
-/// iteration's score pass is pure dense arithmetic: no hashing.
-pub struct ScorePrep {
-    /// `(dimension index, per-fact-row dimension row or [`MISS`])`.
-    dim_rows: Vec<(usize, Vec<u32>)>,
-}
-
-/// Builds the [`ScorePrep`] for a feature set over a star database.
-pub fn prepare_scores(db: &StarDb, features: &[&str]) -> ScorePrep {
+/// The dimensions owning at least one feature, in ascending index order —
+/// the order the score kernel adds their weighted sums in.
+fn featured_dims(db: &StarDb, features: &[&str]) -> Vec<usize> {
     let mut featured: Vec<usize> = features
         .iter()
         .filter_map(|f| match owner_of(db, f) {
@@ -338,35 +329,141 @@ pub fn prepare_scores(db: &StarDb, features: &[&str]) -> ScorePrep {
         .collect();
     featured.sort_unstable();
     featured.dedup();
-    let dim_rows = featured
-        .into_iter()
-        .map(|di| {
-            let index = db.dims[di].key_index();
-            let fact_keys = db
-                .fact
-                .column(db.dims[di].key.as_str())
-                .expect("fact join key column")
-                .as_i64()
-                .expect("fact join key must be integer");
-            let rows: Vec<u32> = fact_keys
-                .iter()
-                .map(|k| index.get(k).map_or(MISS, |&j| j as u32))
-                .collect();
-            (di, rows)
-        })
+    featured
+}
+
+/// Resolves `fact`'s join key for dimension `di` through its key index:
+/// the dimension row per fact row, or [`MISS`].
+fn resolve_keys(
+    db: &StarDb,
+    di: usize,
+    index: &HashMap<i64, usize>,
+    fact: &ColRelation,
+) -> Vec<u32> {
+    fact.column(db.dims[di].key.as_str())
+        .expect("fact join key column")
+        .as_i64()
+        .expect("fact join key must be integer")
+        .iter()
+        .map(|k| index.get(k).map_or(MISS, |&j| j as u32))
+        .collect()
+}
+
+/// Loop-invariant preprocessing for the per-iteration score pass: for
+/// every dimension owning at least one feature, the fact-row → dimension-
+/// row resolution (an index join, resolved once per training run —
+/// duplicate dimension keys keep the last row, matching
+/// [`StarDb::materialize`]'s key index). With this hoisted, an
+/// iteration's score pass is pure dense arithmetic: no hashing.
+pub struct ScorePrep {
+    /// Featured dimensions, ascending (see [`featured_dims`]).
+    featured: Vec<usize>,
+    /// Per featured dimension: the per-fact-row dimension row or [`MISS`].
+    rows: Vec<Vec<u32>>,
+}
+
+/// Builds the [`ScorePrep`] for a feature set over a star database.
+pub fn prepare_scores(db: &StarDb, features: &[&str]) -> ScorePrep {
+    let featured = featured_dims(db, features);
+    let rows = featured
+        .iter()
+        .map(|&di| resolve_keys(db, di, &db.dims[di].key_index(), &db.fact))
         .collect();
-    ScorePrep { dim_rows }
+    ScorePrep { featured, rows }
+}
+
+/// One θ's raw-space score weights, in the order the score kernel adds
+/// them: per featured dimension (ascending) the weighted payload sum of
+/// every dimension row, then each fact-owned feature's `(name, w)` in
+/// feature order.
+struct ScoreWeights<'f> {
+    bias: f64,
+    dims: Vec<Vec<f64>>,
+    fact: Vec<(&'f str, f64)>,
+}
+
+impl<'f> ScoreWeights<'f> {
+    /// The weights for `bias + Σ weights·features` over `db`'s dimensions
+    /// (rebuilt per iteration — the weights change every iteration).
+    fn new(
+        db: &StarDb,
+        featured: &[usize],
+        features: &[&'f str],
+        weights: &[f64],
+        bias: f64,
+    ) -> Self {
+        assert_eq!(features.len(), weights.len());
+        let mut fact = Vec::new();
+        let mut per_dim: Vec<Vec<(&Column, f64)>> = vec![Vec::new(); db.dims.len()];
+        for (f, &w) in features.iter().zip(weights) {
+            match owner_of(db, f) {
+                Some(Owner::Fact) => fact.push((*f, w)),
+                Some(Owner::Dim(di)) => per_dim[di].push((db.dims[di].rel.column(f).unwrap(), w)),
+                None => panic!("no relation stores attribute `{f}`"),
+            }
+        }
+        let dims = featured
+            .iter()
+            .map(|&di| {
+                let feats = &per_dim[di];
+                assert!(
+                    !feats.is_empty(),
+                    "ScorePrep was built for a different feature set"
+                );
+                (0..db.dims[di].rel.len())
+                    .map(|j| feats.iter().map(|(c, w)| w * c.get_f64(j)).sum())
+                    .collect()
+            })
+            .collect();
+        debug_assert_eq!(
+            featured.len(),
+            per_dim.iter().filter(|f| !f.is_empty()).count(),
+            "ScorePrep covers a different set of dimensions"
+        );
+        ScoreWeights { bias, dims, fact }
+    }
+
+    /// The fact-owned weights bound to `fact`'s columns.
+    fn fact_cols<'r>(&self, fact: &'r ColRelation) -> Vec<(&'r Column, f64)> {
+        self.fact
+            .iter()
+            .map(|(f, w)| (fact.column(f).expect("fact feature column"), *w))
+            .collect()
+    }
+
+    /// The score kernel both training paths run: for each row `i` in
+    /// `range`, `bias`, then `+= wsum[rows[k][i]]` per featured dimension,
+    /// then `+= w·x` per fact feature; a row whose key misses a dimension
+    /// scores 0.0 — the inner join drops it everywhere the score is
+    /// consumed.
+    fn score(&self, rows: &[Vec<u32>], fact: &[(&Column, f64)], range: Range<usize>) -> Vec<f64> {
+        let mut out = Vec::with_capacity(range.len());
+        'row: for i in range {
+            let mut s = self.bias;
+            for (rows, wsum) in rows.iter().zip(&self.dims) {
+                let r = rows[i];
+                if r == MISS {
+                    out.push(0.0);
+                    continue 'row;
+                }
+                s += wsum[r as usize];
+            }
+            for (col, w) in fact {
+                s += w * col.get_f64(i);
+            }
+            out.push(s);
+        }
+        out
+    }
 }
 
 /// Computes the per-fact-row linear score `bias + Σ w_f·x_f` over the
 /// joined tuple without materializing the join: one `dim row → Σ w_f·x_f`
-/// weighted vector per featured dimension (rebuilt per call — the
-/// weights change every iteration) plus direct fact-column reads,
+/// weighted vector per featured dimension plus direct fact-column reads,
 /// resolved through the hoisted index join in `prep`. The scan shards
 /// per `cfg`; chunks emit disjoint ranges merged in ascending order, so
 /// results are identical at every thread count. Rows whose key misses a
-/// dimension score 0.0 — the inner join drops them everywhere the score
-/// is consumed.
+/// dimension score 0.0.
 pub fn fact_scores_prepared(
     db: &StarDb,
     features: &[&str],
@@ -375,81 +472,15 @@ pub fn fact_scores_prepared(
     prep: &ScorePrep,
     cfg: &ExecConfig,
 ) -> Vec<f64> {
-    assert_eq!(features.len(), weights.len());
-    let mut fact_cols: Vec<(&Column, f64)> = Vec::new();
-    let mut per_dim: Vec<Vec<(&Column, f64)>> = vec![Vec::new(); db.dims.len()];
-    for (f, &w) in features.iter().zip(weights) {
-        match owner_of(db, f) {
-            Some(Owner::Fact) => fact_cols.push((db.fact.column(f).unwrap(), w)),
-            Some(Owner::Dim(di)) => per_dim[di].push((db.dims[di].rel.column(f).unwrap(), w)),
-            None => panic!("no relation stores attribute `{f}`"),
-        }
-    }
-    // Per featured dimension: the weighted per-row sums for this θ.
-    let dim_views: Vec<(&[u32], Vec<f64>)> = prep
-        .dim_rows
-        .iter()
-        .map(|(di, rows)| {
-            let feats = &per_dim[*di];
-            assert!(
-                !feats.is_empty(),
-                "ScorePrep was built for a different feature set"
-            );
-            let len = db.dims[*di].rel.len();
-            let wsum: Vec<f64> = (0..len)
-                .map(|j| feats.iter().map(|(c, w)| w * c.get_f64(j)).sum())
-                .collect();
-            (rows.as_slice(), wsum)
-        })
-        .collect();
-    debug_assert_eq!(
-        dim_views.len(),
-        per_dim.iter().filter(|f| !f.is_empty()).count(),
-        "ScorePrep covers a different set of dimensions"
-    );
+    let sw = ScoreWeights::new(db, &prep.featured, features, weights, bias);
+    let fact = sw.fact_cols(&db.fact);
     let n = db.fact.len();
     run_chunked(
         cfg,
         n,
         Vec::with_capacity(n),
-        |range: Range<usize>| {
-            let mut out = Vec::with_capacity(range.len());
-            'row: for i in range {
-                let mut s = bias;
-                for (rows, wsum) in &dim_views {
-                    let r = rows[i];
-                    if r == MISS {
-                        out.push(0.0);
-                        continue 'row;
-                    }
-                    s += wsum[r as usize];
-                }
-                for (col, w) in &fact_cols {
-                    s += w * col.get_f64(i);
-                }
-                out.push(s);
-            }
-            out
-        },
+        |range: Range<usize>| sw.score(&prep.rows, &fact, range),
         |acc: &mut Vec<f64>, p| acc.extend(p),
-    )
-}
-
-/// One-shot [`fact_scores_prepared`] (prepares the index join inline).
-pub fn fact_scores(
-    db: &StarDb,
-    features: &[&str],
-    weights: &[f64],
-    bias: f64,
-    cfg: &ExecConfig,
-) -> Vec<f64> {
-    fact_scores_prepared(
-        db,
-        features,
-        weights,
-        bias,
-        &prepare_scores(db, features),
-        cfg,
     )
 }
 
@@ -471,31 +502,10 @@ fn with_sigma_column(db: &StarDb) -> StarDb {
 }
 
 /// The IFAQ end-to-end path: per-iteration factorized gradient passes,
-/// never materializing the join. Uses the process-wide
-/// [`ExecConfig::global`].
-pub fn fit_factorized(
-    db: &StarDb,
-    features: &[&str],
-    label: &str,
-    layout_choice: Layout,
-    learning_rate: f64,
-    iterations: usize,
-) -> LogisticModel {
-    fit_factorized_cfg(
-        db,
-        features,
-        label,
-        layout_choice,
-        learning_rate,
-        iterations,
-        ExecConfig::global(),
-    )
-}
-
-/// [`fit_factorized`] with every data pass — the one-time covar pass, the
-/// per-iteration score pass, and the per-iteration gradient batch —
-/// sharded per `cfg`, composing with the deterministic chunk model of
-/// [`ifaq_engine::par`]. The gradient batch runs through
+/// never materializing the join, with every data pass — the one-time
+/// covar pass, the per-iteration score pass, and the per-iteration
+/// gradient batch — sharded per `cfg`, composing with the deterministic
+/// chunk model of [`ifaq_engine::par`]. The gradient batch runs through
 /// [`layout::execute_with`] under `layout_choice`, so logistic training
 /// exercises the same physical ladder as the covar workloads. One-shot
 /// wrapper over [`FactorizedTrainer`], which exposes the prepare/fit
@@ -530,6 +540,104 @@ pub fn invariant_overlap(features: &[&str], label: &str) -> Vec<Option<usize>> {
     analysis::cross_batch_overlap(&needed, &covar_batch(features, label))
 }
 
+/// Proves the cross-batch CSE before a trainer leans on it: every
+/// invariant aggregate must be covered by the covar pass.
+fn assert_invariant_side_covered(features: &[&str], label: &str) {
+    assert!(
+        invariant_overlap(features, label)
+            .iter()
+            .all(Option::is_some),
+        "covar batch does not cover the invariant `Σ y·x` gradient side"
+    );
+}
+
+/// The θ-free descent state both logistic trainers share — resident
+/// ([`FactorizedTrainer`]) and streamed ([`fit_streamed`]) differ only in
+/// the data driver of each iteration's gradient pass.
+struct Descent {
+    features: Vec<String>,
+    stdz: Standardizer,
+    /// Standardized invariant gradient side: `B_0 = Σy`, `B_j = Σy·x'_j`.
+    b: Vec<f64>,
+    n: f64,
+    /// The per-iteration gradient batch planned over the `__sigma` schema.
+    plan: ViewPlan,
+    g0: usize,
+    gi: Vec<usize>,
+}
+
+impl Descent {
+    /// Takes standardization and the invariant `Σy·x` side from `moments`
+    /// and plans the gradient batch over `aug` (the `__sigma`-augmented
+    /// schema) once: its shape does not depend on θ (θ only enters
+    /// through `__sigma`).
+    fn new(moments: &Moments, features: &[&str], aug: &StarDb) -> Descent {
+        assert!(
+            moments
+                .features
+                .iter()
+                .map(String::as_str)
+                .eq(features.iter().copied()),
+            "moments were computed for features {:?} but the trainer wants {:?}",
+            moments.features,
+            features
+        );
+        let d = features.len() + 1;
+        let stdz = Standardizer::from_moments(moments);
+        let mut b = vec![0.0; d];
+        b[0] = moments.xty[0];
+        for (j, bj) in b.iter_mut().enumerate().skip(1) {
+            *bj = (moments.xty[j] - stdz.mean[j] * moments.xty[0]) / stdz.std[j];
+        }
+        let cat = aug.catalog();
+        let tree = aug.join_tree(&cat).expect("join tree");
+        let batch = logistic_gradient_batch(features, SIGMA_COL);
+        let plan = ViewPlan::plan(&batch, &tree, &cat).expect("view plan");
+        let g0 = batch.index_of("g_sigma").expect("g_sigma");
+        let gi: Vec<usize> = features
+            .iter()
+            .map(|f| batch.index_of(&format!("g_sigma_{f}")).expect("g_sigma_f"))
+            .collect();
+        Descent {
+            features: features.iter().map(|s| s.to_string()).collect(),
+            stdz,
+            b,
+            n: moments.count.max(1.0),
+            plan,
+            g0,
+            gi,
+        }
+    }
+
+    /// Gradient descent from `theta`: per iteration, `pass(bias, w)` runs
+    /// the gradient batch with `__sigma` scored under the raw-space
+    /// weights of the current standardized θ.
+    fn run<E>(
+        &self,
+        mut theta: Vec<f64>,
+        learning_rate: f64,
+        iterations: usize,
+        mut pass: impl FnMut(f64, &[f64]) -> Result<Vec<f64>, E>,
+    ) -> Result<LogisticModel, E> {
+        for _ in 0..iterations {
+            let (bias, w) = self.stdz.to_raw(&theta);
+            let g = pass(bias, &w)?;
+            let s0 = g[self.g0];
+            theta[0] -= learning_rate / self.n * (s0 - self.b[0]);
+            for j in 1..theta.len() {
+                let aj = (g[self.gi[j - 1]] - self.stdz.mean[j] * s0) / self.stdz.std[j];
+                theta[j] -= learning_rate / self.n * (aj - self.b[j]);
+            }
+        }
+        let (intercept, weights) = self.stdz.to_raw(&theta);
+        Ok(LogisticModel {
+            features: self.features.clone(),
+            intercept,
+            weights,
+        })
+    }
+}
+
 /// The factorized logistic trainer with its θ-free state hoisted:
 /// [`FactorizedTrainer::new`] runs the one-time covar pass and builds —
 /// exactly once per training run — the gradient-batch view plan, the
@@ -542,20 +650,13 @@ pub fn invariant_overlap(features: &[&str], label: &str) -> Vec<Option<usize>> {
 /// live). `fit` may be called repeatedly; every call starts from θ = 0
 /// and reuses the same preparation, bit-identically.
 pub struct FactorizedTrainer {
-    features: Vec<String>,
+    descent: Descent,
     layout: Layout,
     cfg: ExecConfig,
     /// The input star database plus the derived `__sigma` fact column.
     aug: StarDb,
-    plan: ViewPlan,
     prep: layout::Prepared,
     score_prep: ScorePrep,
-    stdz: Standardizer,
-    /// Standardized invariant gradient side: `B_0 = Σy`, `B_j = Σy·x'_j`.
-    b: Vec<f64>,
-    n: f64,
-    g0: usize,
-    gi: Vec<usize>,
 }
 
 impl FactorizedTrainer {
@@ -570,14 +671,7 @@ impl FactorizedTrainer {
         layout_choice: Layout,
         cfg: &ExecConfig,
     ) -> FactorizedTrainer {
-        // Prove the cross-batch CSE before leaning on it: every
-        // invariant aggregate must be covered by the covar pass.
-        assert!(
-            invariant_overlap(features, label)
-                .iter()
-                .all(Option::is_some),
-            "covar batch does not cover the invariant `Σ y·x` gradient side"
-        );
+        assert_invariant_side_covered(features, label);
         let moments = moments_factorized_cfg(db, features, label, layout_choice, cfg);
         FactorizedTrainer::with_moments(db, features, layout_choice, cfg, &moments)
     }
@@ -596,54 +690,18 @@ impl FactorizedTrainer {
         cfg: &ExecConfig,
         moments: &Moments,
     ) -> FactorizedTrainer {
-        assert!(
-            moments
-                .features
-                .iter()
-                .map(String::as_str)
-                .eq(features.iter().copied()),
-            "moments were computed for features {:?} but the trainer wants {:?}",
-            moments.features,
-            features
-        );
-        let d = features.len() + 1;
-        let n = moments.count.max(1.0);
-        let stdz = Standardizer::from_moments(moments);
-        let mut b = vec![0.0; d];
-        b[0] = moments.xty[0];
-        for (j, bj) in b.iter_mut().enumerate().skip(1) {
-            *bj = (moments.xty[j] - stdz.mean[j] * moments.xty[0]) / stdz.std[j];
-        }
-        // Plan and prepare the per-iteration gradient batch once: its
-        // shape does not depend on θ (θ only enters through `__sigma`).
         let aug = with_sigma_column(db);
-        let cat = aug.catalog();
-        let dim_names: Vec<&str> = aug.dims.iter().map(|dm| dm.rel.name.as_str()).collect();
-        let tree =
-            JoinTree::build_with_root(&cat, aug.fact.name.as_str(), &dim_names).expect("join tree");
-        let batch = logistic_gradient_batch(features, SIGMA_COL);
-        let plan = ViewPlan::plan(&batch, &tree, &cat).expect("view plan");
-        let prep = layout::prepare(layout_choice, &plan, &aug);
-        let g0 = batch.index_of("g_sigma").expect("g_sigma");
-        let gi: Vec<usize> = features
-            .iter()
-            .map(|f| batch.index_of(&format!("g_sigma_{f}")).expect("g_sigma_f"))
-            .collect();
+        let descent = Descent::new(moments, features, &aug);
+        let prep = layout::prepare(layout_choice, &descent.plan, &aug);
         // The fact-row → dim-row resolution is θ-free: hoist it too.
         let score_prep = prepare_scores(&aug, features);
         FactorizedTrainer {
-            features: features.iter().map(|s| s.to_string()).collect(),
+            descent,
             layout: layout_choice,
             cfg: *cfg,
             aug,
-            plan,
             prep,
             score_prep,
-            stdz,
-            b,
-            n,
-            g0,
-            gi,
         }
     }
 
@@ -660,7 +718,7 @@ impl FactorizedTrainer {
     /// Trains from θ = 0 over the prepared state: per iteration, one
     /// sharded score pass rewriting `__sigma` and one aggregate scan.
     pub fn fit(&mut self, learning_rate: f64, iterations: usize) -> LogisticModel {
-        let theta = vec![0.0; self.features.len() + 1];
+        let theta = vec![0.0; self.descent.features.len() + 1];
         self.fit_from(theta, learning_rate, iterations)
     }
 
@@ -678,45 +736,43 @@ impl FactorizedTrainer {
         iterations: usize,
     ) -> LogisticModel {
         assert_eq!(
-            start.features, self.features,
+            start.features, self.descent.features,
             "warm-start model was trained on different features"
         );
-        let theta = self.stdz.to_standardized(start.intercept, &start.weights);
+        let theta = self
+            .descent
+            .stdz
+            .to_standardized(start.intercept, &start.weights);
         self.fit_from(theta, learning_rate, iterations)
     }
 
-    /// The shared descent loop behind [`FactorizedTrainer::fit`] and
-    /// [`FactorizedTrainer::fit_warm`].
+    /// The resident data driver behind [`FactorizedTrainer::fit`] and
+    /// [`FactorizedTrainer::fit_warm`]: each gradient pass rewrites the
+    /// `__sigma` column in place, then scans the prepared layout.
     fn fit_from(
         &mut self,
-        mut theta: Vec<f64>,
+        theta: Vec<f64>,
         learning_rate: f64,
         iterations: usize,
     ) -> LogisticModel {
-        let d = self.features.len() + 1;
-        let features: Vec<&str> = self.features.iter().map(|s| s.as_str()).collect();
-        for _ in 0..iterations {
-            // Raw-space score weights for the current standardized θ.
-            let (bias, w) = self.stdz.to_raw(&theta);
-            let scores =
-                fact_scores_prepared(&self.aug, &features, &w, bias, &self.score_prep, &self.cfg);
-            let sigma_col = self.aug.fact.columns.last_mut().expect("sigma column");
+        let FactorizedTrainer {
+            descent,
+            layout,
+            cfg,
+            aug,
+            prep,
+            score_prep,
+        } = self;
+        let features: Vec<&str> = descent.features.iter().map(String::as_str).collect();
+        let pass = |bias: f64, w: &[f64]| {
+            let scores = fact_scores_prepared(aug, &features, w, bias, score_prep, cfg);
+            let sigma_col = aug.fact.columns.last_mut().expect("sigma column");
             *sigma_col = Column::F64(scores.into_iter().map(stable_sigmoid).collect());
             // σ-side aggregates through the chosen physical layout.
-            let g = layout::execute_with(self.layout, &self.plan, &self.aug, &self.prep, &self.cfg);
-            let s0 = g[self.g0];
-            theta[0] -= learning_rate / self.n * (s0 - self.b[0]);
-            for j in 1..d {
-                let aj = (g[self.gi[j - 1]] - self.stdz.mean[j] * s0) / self.stdz.std[j];
-                theta[j] -= learning_rate / self.n * (aj - self.b[j]);
-            }
-        }
-        let (intercept, weights) = self.stdz.to_raw(&theta);
-        LogisticModel {
-            features: self.features.clone(),
-            intercept,
-            weights,
-        }
+            Ok::<_, Infallible>(layout::execute_with(*layout, &descent.plan, aug, prep, cfg))
+        };
+        let Ok(model) = descent.run(theta, learning_rate, iterations, pass);
+        model
     }
 }
 
@@ -725,13 +781,14 @@ impl FactorizedTrainer {
 /// of an on-disk `IFAQTBL1` star export instead of scanning resident
 /// columns. Dimensions stay in memory (the score pass needs their key
 /// indexes and weighted payload sums anyway); the per-iteration `__sigma`
-/// column is computed chunk by chunk inside the stream — scoring each
-/// chunk's rows through the resident dimension views and appending the
-/// sigmoid column before the gradient executors see it — so neither the
-/// scores nor the fact table ever materialize in full. For any fixed
-/// `cfg.chunk_rows` the per-row scores, the gradient batch results, and
-/// hence the trained model are bit-identical to the in-memory
-/// [`fit_factorized_cfg`] at any thread count.
+/// column is computed chunk by chunk inside the stream — each chunk's
+/// keys resolved through key indexes built once per fit, scored by the
+/// resident path's kernel, and the sigmoid column appended before the
+/// gradient executors see it — so neither the scores nor the fact table
+/// ever materialize in full. For any fixed `cfg.chunk_rows` the per-row
+/// scores, the gradient batch results, and hence the trained model are
+/// bit-identical to the in-memory [`fit_factorized_cfg`] at any thread
+/// count.
 #[allow(clippy::too_many_arguments)]
 pub fn fit_streamed(
     src: &StreamSource,
@@ -742,155 +799,45 @@ pub fn fit_streamed(
     iterations: usize,
     cfg: &ExecConfig,
 ) -> Result<LogisticModel, ExportError> {
-    assert!(
-        invariant_overlap(features, label)
-            .iter()
-            .all(Option::is_some),
-        "covar batch does not cover the invariant `Σ y·x` gradient side"
-    );
-    // Loop-invariant pass: streamed covar moments give standardization
-    // and the `Σ y·x` side, exactly as in the resident trainer.
+    assert_invariant_side_covered(features, label);
     let moments = moments_streamed(src, features, label, layout_choice, cfg)?;
-    let d = features.len() + 1;
-    let n = moments.count.max(1.0);
-    let stdz = Standardizer::from_moments(&moments);
-    let mut b = vec![0.0; d];
-    b[0] = moments.xty[0];
-    for (j, bj) in b.iter_mut().enumerate().skip(1) {
-        *bj = (moments.xty[j] - stdz.mean[j] * moments.xty[0]) / stdz.std[j];
-    }
-    // Plan the gradient batch over the `__sigma`-augmented schema; the
-    // prepared state is θ-free and dimension-only, so it streams.
+    // The prepared state is θ-free and dimension-only, so it streams.
     let aug = with_sigma_column(src.schema_db());
-    let cat = aug.catalog();
-    let dim_names: Vec<&str> = aug.dims.iter().map(|dm| dm.rel.name.as_str()).collect();
-    let tree =
-        JoinTree::build_with_root(&cat, aug.fact.name.as_str(), &dim_names).expect("join tree");
-    let batch = logistic_gradient_batch(features, SIGMA_COL);
-    let plan = ViewPlan::plan(&batch, &tree, &cat).expect("view plan");
-    let sprep = prepare_streaming(layout_choice, &plan, &aug, src.fact_rows());
-    let g0 = batch.index_of("g_sigma").expect("g_sigma");
-    let gi: Vec<usize> = features
-        .iter()
-        .map(|f| batch.index_of(&format!("g_sigma_{f}")).expect("g_sigma_f"))
-        .collect();
-    // Featured dimensions in ascending index order with resident key
-    // indexes, and fact-owned features in feature order — the same
-    // resolution order as `fact_scores_prepared`, so per-row score
-    // arithmetic associates identically.
-    let mut featured: Vec<usize> = features
-        .iter()
-        .filter_map(|f| match owner_of(&aug, f) {
-            Some(Owner::Fact) => None,
-            Some(Owner::Dim(di)) => Some(di),
-            None => panic!("no relation stores attribute `{f}`"),
-        })
-        .collect();
-    featured.sort_unstable();
-    featured.dedup();
-    let key_indexes: Vec<std::collections::HashMap<i64, usize>> = featured
+    let descent = Descent::new(&moments, features, &aug);
+    let sprep = prepare_streaming(layout_choice, &descent.plan, &aug, src.fact_rows());
+    let featured = featured_dims(&aug, features);
+    let key_indexes: Vec<HashMap<i64, usize>> = featured
         .iter()
         .map(|&di| aug.dims[di].key_index())
         .collect();
-    let fact_features: Vec<&str> = features
-        .iter()
-        .filter(|f| matches!(owner_of(&aug, f), Some(Owner::Fact)))
-        .copied()
-        .collect();
-    let sigma_sym = Sym::new(SIGMA_COL);
-    let virtual_cols = [sigma_sym.clone()];
-    let mut theta = vec![0.0; d];
-    for _ in 0..iterations {
-        let (bias, w) = stdz.to_raw(&theta);
-        // Per featured dimension: the weighted per-row payload sums for
-        // this θ (summed in feature order, as `fact_scores_prepared`).
-        let dim_views: Vec<(Sym, &std::collections::HashMap<i64, usize>, Vec<f64>)> = featured
-            .iter()
-            .zip(&key_indexes)
-            .map(|(&di, index)| {
-                let feats: Vec<(&Column, f64)> = features
-                    .iter()
-                    .zip(&w)
-                    .filter_map(|(f, &wf)| {
-                        aug.dims[di].rel.column(f).map(|c| (c, wf)).filter(
-                            |_| matches!(owner_of(&aug, f), Some(Owner::Dim(dj)) if dj == di),
-                        )
-                    })
-                    .collect();
-                let len = aug.dims[di].rel.len();
-                let wsum: Vec<f64> = (0..len)
-                    .map(|j| feats.iter().map(|(c, wf)| wf * c.get_f64(j)).sum())
-                    .collect();
-                (aug.dims[di].key.clone(), index, wsum)
-            })
-            .collect();
-        let fact_weighted: Vec<(&str, f64)> = fact_features
-            .iter()
-            .map(|f| {
-                let wf = features
-                    .iter()
-                    .zip(&w)
-                    .find(|(g, _)| ***g == **f)
-                    .expect("fact feature weight")
-                    .1;
-                (*f, *wf)
-            })
-            .collect();
+    let virtual_cols = [Sym::new(SIGMA_COL)];
+    let theta = vec![0.0; features.len() + 1];
+    descent.run(theta, learning_rate, iterations, |bias, w| {
+        let sw = ScoreWeights::new(&aug, &featured, features, w, bias);
         let mut score_chunk = |_start: usize, rel: ColRelation| -> ColRelation {
-            let rows = rel.len();
-            let key_cols: Vec<&[i64]> = dim_views
+            let rows: Vec<Vec<u32>> = featured
                 .iter()
-                .map(|(key, _, _)| {
-                    rel.column(key.as_str())
-                        .expect("featured dimension key column")
-                        .as_i64()
-                        .expect("fact join key must be integer")
-                })
+                .zip(&key_indexes)
+                .map(|(&di, index)| resolve_keys(&aug, di, index, &rel))
                 .collect();
-            let fcols: Vec<(&Column, f64)> = fact_weighted
-                .iter()
-                .map(|(f, wf)| (rel.column(f).expect("fact feature column"), *wf))
-                .collect();
-            let mut sig = Vec::with_capacity(rows);
-            'row: for i in 0..rows {
-                let mut s = bias;
-                for ((_, index, wsum), ks) in dim_views.iter().zip(&key_cols) {
-                    match index.get(&ks[i]) {
-                        Some(&j) => s += wsum[j],
-                        // A dangling key scores 0.0 (then σ(0)), as in
-                        // `fact_scores_prepared`; the inner join drops
-                        // the row in every aggregate anyway.
-                        None => {
-                            sig.push(stable_sigmoid(0.0));
-                            continue 'row;
-                        }
-                    }
-                }
-                for (col, wf) in &fcols {
-                    s += wf * col.get_f64(i);
-                }
-                sig.push(stable_sigmoid(s));
-            }
+            let scores = sw.score(&rows, &sw.fact_cols(&rel), 0..rel.len());
             let mut attrs = rel.attrs.clone();
-            attrs.push(sigma_sym.clone());
+            attrs.push(virtual_cols[0].clone());
             let mut cols = rel.columns;
-            cols.push(Column::F64(sig));
+            cols.push(Column::F64(
+                scores.into_iter().map(stable_sigmoid).collect(),
+            ));
             ColRelation::new(rel.name.clone(), attrs, cols)
         };
-        let (g, _stats) =
-            execute_streaming_map(&plan, src, &sprep, cfg, &virtual_cols, &mut score_chunk)?;
-        let s0 = g[g0];
-        theta[0] -= learning_rate / n * (s0 - b[0]);
-        for j in 1..d {
-            let aj = (g[gi[j - 1]] - stdz.mean[j] * s0) / stdz.std[j];
-            theta[j] -= learning_rate / n * (aj - b[j]);
-        }
-    }
-    let (intercept, weights) = stdz.to_raw(&theta);
-    Ok(LogisticModel {
-        features: features.iter().map(|s| s.to_string()).collect(),
-        intercept,
-        weights,
+        execute_streaming_map(
+            &descent.plan,
+            src,
+            &sprep,
+            cfg,
+            &virtual_cols,
+            &mut score_chunk,
+        )
+        .map(|(g, _stats)| g)
     })
 }
 
@@ -1023,7 +970,8 @@ mod tests {
         let features = ["city", "price"];
         let reference = fit_materialized(&m, &features, "hot", 0.5, 200);
         for &layout_choice in Layout::all() {
-            let got = fit_factorized(&db, &features, "hot", layout_choice, 0.5, 200);
+            let cfg = ExecConfig::global();
+            let got = fit_factorized_cfg(&db, &features, "hot", layout_choice, 0.5, 200, cfg);
             assert!(
                 (got.intercept - reference.intercept).abs() < 1e-9,
                 "{layout_choice}: {got:?} vs {reference:?}"
@@ -1080,7 +1028,9 @@ mod tests {
         let features = ["city", "price", "units"];
         let weights = [0.25, -1.5, 0.125];
         let bias = 0.5;
-        let scores = fact_scores(&db, &features, &weights, bias, &ExecConfig::serial());
+        let prep = prepare_scores(&db, &features);
+        let scores =
+            fact_scores_prepared(&db, &features, &weights, bias, &prep, &ExecConfig::serial());
         assert_eq!(scores.len(), db.fact.len());
         for (i, score) in scores.iter().enumerate().take(m.rows) {
             let row = m.row(i);
@@ -1106,7 +1056,9 @@ mod tests {
                 Column::F64(vec![10.0, 4.0]),
             ],
         );
-        let scores = fact_scores(&db, &["price"], &[2.0], 1.0, &ExecConfig::serial());
+        let prep = prepare_scores(&db, &["price"]);
+        let scores =
+            fact_scores_prepared(&db, &["price"], &[2.0], 1.0, &prep, &ExecConfig::serial());
         assert_eq!(scores, vec![1.0 + 2.0 * 1.5, 0.0]);
     }
 
@@ -1275,9 +1227,7 @@ mod tests {
         let d = features.len() + 1;
         let mut aug = with_sigma_column(db);
         let cat = aug.catalog();
-        let dim_names: Vec<&str> = aug.dims.iter().map(|dm| dm.rel.name.as_str()).collect();
-        let tree =
-            JoinTree::build_with_root(&cat, aug.fact.name.as_str(), &dim_names).expect("join tree");
+        let tree = aug.join_tree(&cat).expect("join tree");
         let mut batch =
             logistic_gradient_batch(features, SIGMA_COL).with(AggSpec::new("y", &[label]));
         for f in features {

@@ -17,7 +17,7 @@ use ifaq_engine::exec::{build_tree, Source};
 use ifaq_engine::star::{StarDb, TrainMatrix};
 use ifaq_engine::{ExecConfig, Layout};
 use ifaq_query::batch::{AggBatch, AggSpec, PredOp, Predicate};
-use ifaq_query::{JoinTree, ViewPlan};
+use ifaq_query::ViewPlan;
 
 /// Tree-construction parameters.
 #[derive(Clone, Debug)]
@@ -295,9 +295,7 @@ pub fn fit_factorized(
     config: &TreeConfig,
 ) -> RegressionTree {
     let cat = db.catalog();
-    let dim_names: Vec<&str> = db.dims.iter().map(|d| d.rel.name.as_str()).collect();
-    let tree =
-        JoinTree::build_with_root(&cat, db.fact.name.as_str(), &dim_names).expect("join tree");
+    let tree = db.join_tree(&cat).expect("join tree");
     let thresholds = thresholds_from_db(db, features, config.thresholds_per_feature);
     let mut eval = |batch: &AggBatch| {
         let plan = ViewPlan::plan(batch, &tree, &cat).expect("view plan");

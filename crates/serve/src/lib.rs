@@ -82,7 +82,7 @@ use ifaq_ml::linreg::{fit_bgd, moments_from_batch, LinearModel};
 use ifaq_ml::logreg::{FactorizedTrainer, LogisticModel};
 use ifaq_query::analysis::{self, Diagnostic};
 use ifaq_query::batch::{add_results, covar_batch, sub_results, AggBatch};
-use ifaq_query::{JoinTree, ViewPlan};
+use ifaq_query::ViewPlan;
 use ifaq_storage::columnar::ColRelationBuilder;
 use ifaq_storage::{ColRelation, Column};
 
@@ -372,6 +372,23 @@ fn delta_fact(like: &ColRelation, int_cols: &[bool], rows: &[Vec<f64>]) -> ColRe
     b.build()
 }
 
+/// One full or Δ scan over `db`: the covar plan, then the optional
+/// logistic covar plan, each prepared through the shared cache and
+/// executed under the engine's layout.
+fn scan(
+    cfg: &ServeConfig,
+    plan: &ViewPlan,
+    log_plan: Option<&ViewPlan>,
+    db: &StarDb,
+    cache: &PrepCache,
+) -> (Vec<f64>, Option<Vec<f64>>) {
+    let run = |p: &ViewPlan| {
+        let prep = layout::prepare_cached(cfg.layout, p, db, cache);
+        layout::execute_with(cfg.layout, p, db, &prep, &cfg.exec)
+    };
+    (run(plan), log_plan.map(run))
+}
+
 impl ServeEngine {
     /// Builds a resident engine over a star database: plans the covar
     /// batch(es), checks the maintenance classification, runs the one
@@ -385,9 +402,7 @@ impl ServeEngine {
     /// table, or a fact scan that doesn't).
     pub fn new(db: StarDb, features: &[&str], label: &str, cfg: ServeConfig) -> ServeEngine {
         let cat = db.catalog();
-        let dim_names: Vec<&str> = db.dims.iter().map(|d| d.rel.name.as_str()).collect();
-        let tree =
-            JoinTree::build_with_root(&cat, db.fact.name.as_str(), &dim_names).expect("join tree");
+        let tree = db.join_tree(&cat).expect("join tree");
         let batch = covar_batch(features, label);
         let plan = ViewPlan::plan(&batch, &tree, &cat).expect("view plan");
 
@@ -446,12 +461,8 @@ impl ServeEngine {
         // filling here; every Δ scan reuses the dimension-side state it
         // captures.
         let prep_cache = PrepCache::new();
-        let prep = layout::prepare_cached(cfg.layout, &plan, &db, &prep_cache);
-        let totals = layout::execute_with(cfg.layout, &plan, &db, &prep, &cfg.exec);
-        let log_totals = log_batch.as_ref().map(|(_, p)| {
-            let lp = layout::prepare_cached(cfg.layout, p, &db, &prep_cache);
-            layout::execute_with(cfg.layout, p, &db, &lp, &cfg.exec)
-        });
+        let log_plan = log_batch.as_ref().map(|(_, p)| p);
+        let (totals, log_totals) = scan(&cfg, &plan, log_plan, &db, &prep_cache);
 
         let moments = moments_from_batch(features, label, &totals);
         let linear = fit_bgd(&moments, cfg.learning_rate, cfg.iterations);
@@ -608,32 +619,22 @@ impl ServeEngine {
         // executor, over a database whose fact table is just the net
         // delta. Dimensions are shared with the template, so the cost is
         // O(|Δ|) plus the layout's dimension-side preparation.
-        let mut add = Vec::new();
-        let mut log_add = Vec::new();
-        if !ins.is_empty() {
-            st.tpl.fact = delta_fact(&st.db.fact, &self.int_cols, &ins);
-            let prep =
-                layout::prepare_cached(self.cfg.layout, &self.plan, &st.tpl, &self.prep_cache);
-            add = layout::execute_with(self.cfg.layout, &self.plan, &st.tpl, &prep, &self.cfg.exec);
-            if let Some((_, lp)) = &self.log_batch {
-                let lprep = layout::prepare_cached(self.cfg.layout, lp, &st.tpl, &self.prep_cache);
-                log_add =
-                    layout::execute_with(self.cfg.layout, lp, &st.tpl, &lprep, &self.cfg.exec);
+        let mut delta_scan = |rows: &[Vec<f64>]| {
+            if rows.is_empty() {
+                return None;
             }
-        }
-        let mut sub = Vec::new();
-        let mut log_sub = Vec::new();
-        if !del.is_empty() {
-            st.tpl.fact = delta_fact(&st.db.fact, &self.int_cols, &del);
-            let prep =
-                layout::prepare_cached(self.cfg.layout, &self.plan, &st.tpl, &self.prep_cache);
-            sub = layout::execute_with(self.cfg.layout, &self.plan, &st.tpl, &prep, &self.cfg.exec);
-            if let Some((_, lp)) = &self.log_batch {
-                let lprep = layout::prepare_cached(self.cfg.layout, lp, &st.tpl, &self.prep_cache);
-                log_sub =
-                    layout::execute_with(self.cfg.layout, lp, &st.tpl, &lprep, &self.cfg.exec);
-            }
-        }
+            st.tpl.fact = delta_fact(&st.db.fact, &self.int_cols, rows);
+            let log_plan = self.log_batch.as_ref().map(|(_, p)| p);
+            Some(scan(
+                &self.cfg,
+                &self.plan,
+                log_plan,
+                &st.tpl,
+                &self.prep_cache,
+            ))
+        };
+        let add = delta_scan(&ins);
+        let sub = delta_scan(&del);
 
         // Phase 5 — commit: rebuild the fact table (surviving rows in
         // stored order, then inserts in batch order), fold the partials,
@@ -659,18 +660,16 @@ impl ServeEngine {
             })
             .collect();
         st.db.fact = ColRelation::new(st.db.fact.name.clone(), st.db.fact.attrs.clone(), columns);
-        if !add.is_empty() {
-            add_results(&mut st.totals, &add);
-        }
-        if !sub.is_empty() {
-            sub_results(&mut st.totals, &sub);
-        }
-        if let Some(lt) = &mut st.log_totals {
-            if !log_add.is_empty() {
-                add_results(lt, &log_add);
+        if let Some((a, log_a)) = &add {
+            add_results(&mut st.totals, a);
+            if let (Some(lt), Some(la)) = (&mut st.log_totals, log_a) {
+                add_results(lt, la);
             }
-            if !log_sub.is_empty() {
-                sub_results(lt, &log_sub);
+        }
+        if let Some((s, log_s)) = &sub {
+            sub_results(&mut st.totals, s);
+            if let (Some(lt), Some(ls)) = (&mut st.log_totals, log_s) {
+                sub_results(lt, ls);
             }
         }
         let generation = st.db.bump_generation();
@@ -830,8 +829,7 @@ mod tests {
         let db = running_example_star();
         let e = engine();
         let cat = db.catalog();
-        let names: Vec<&str> = db.dims.iter().map(|d| d.rel.name.as_str()).collect();
-        let tree = JoinTree::build_with_root(&cat, db.fact.name.as_str(), &names).unwrap();
+        let tree = db.join_tree(&cat).unwrap();
         let plan = ViewPlan::plan(e.batch(), &tree, &cat).unwrap();
         let prep = layout::prepare(Layout::MergedHash, &plan, &db);
         let direct =
@@ -894,8 +892,7 @@ mod tests {
         // still equal a rebuild from scratch.
         let db = e.db_snapshot();
         let cat = db.catalog();
-        let names: Vec<&str> = db.dims.iter().map(|d| d.rel.name.as_str()).collect();
-        let tree = JoinTree::build_with_root(&cat, db.fact.name.as_str(), &names).unwrap();
+        let tree = db.join_tree(&cat).unwrap();
         let plan = ViewPlan::plan(e.batch(), &tree, &cat).unwrap();
         let prep = layout::prepare(Layout::MergedHash, &plan, &db);
         let direct =

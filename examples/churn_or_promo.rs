@@ -14,7 +14,7 @@
 //! ```
 
 use ifaq_datagen::favorita;
-use ifaq_engine::Layout;
+use ifaq_engine::{ExecConfig, Layout};
 use ifaq_ml::baseline::{scikit_like_logreg, tf_like_logreg, MemoryBudget};
 use ifaq_ml::logreg;
 use ifaq_ml::metrics::{logreg_accuracy, logreg_auc};
@@ -35,13 +35,14 @@ fn main() {
 
     // IFAQ: factorized per-iteration gradient passes; no join materialization.
     let t0 = Instant::now();
-    let ifaq_model = logreg::fit_factorized(
+    let ifaq_model = logreg::fit_factorized_cfg(
         &train,
         &features,
         &ds.label,
         Layout::MergedHash,
         learning_rate,
         iters,
+        ExecConfig::global(),
     );
     let t_ifaq = t0.elapsed();
 

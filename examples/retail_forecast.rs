@@ -8,7 +8,7 @@
 //! ```
 
 use ifaq_datagen::favorita;
-use ifaq_engine::Layout;
+use ifaq_engine::{ExecConfig, Layout};
 use ifaq_ml::baseline::{scikit_like_linreg, tf_like_linreg, MemoryBudget};
 use ifaq_ml::linreg;
 use ifaq_ml::metrics::linreg_rmse;
@@ -28,8 +28,15 @@ fn main() {
 
     // IFAQ: factorized covar + BGD; the join never materializes.
     let t0 = Instant::now();
-    let ifaq_model =
-        linreg::fit_factorized(&train, &features, &ds.label, Layout::MergedHash, 0.5, 200);
+    let ifaq_model = linreg::fit_factorized_cfg(
+        &train,
+        &features,
+        &ds.label,
+        Layout::MergedHash,
+        0.5,
+        200,
+        ExecConfig::global(),
+    );
     let t_ifaq = t0.elapsed();
 
     // Conventional pipeline: materialize, then learn.

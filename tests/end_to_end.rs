@@ -4,7 +4,7 @@
 
 use ifaq::{CompileOptions, Pipeline};
 use ifaq_datagen::{favorita, retailer};
-use ifaq_engine::Layout;
+use ifaq_engine::{ExecConfig, Layout};
 use ifaq_ir::Expr;
 use ifaq_ml::linreg;
 use ifaq_ml::logreg;
@@ -49,10 +49,21 @@ fn full_pipeline_trains_on_favorita() {
 fn all_physical_layouts_agree_on_both_datasets() {
     for ds in [favorita(8_000, 3), retailer(8_000, 4)] {
         let features = ds.feature_refs();
-        let reference =
-            linreg::moments_factorized(&ds.db, &features, &ds.label, Layout::Materialized);
+        let reference = linreg::moments_factorized_cfg(
+            &ds.db,
+            &features,
+            &ds.label,
+            Layout::Materialized,
+            ExecConfig::global(),
+        );
         for &layout in Layout::all() {
-            let m = linreg::moments_factorized(&ds.db, &features, &ds.label, layout);
+            let m = linreg::moments_factorized_cfg(
+                &ds.db,
+                &features,
+                &ds.label,
+                layout,
+                ExecConfig::global(),
+            );
             for (a, b) in m.gram.iter().zip(&reference.gram) {
                 let tol = 1e-9 * (1.0 + a.abs().max(b.abs()));
                 assert!((a - b).abs() <= tol, "{layout} on {}: {a} vs {b}", ds.name);
@@ -65,7 +76,13 @@ fn all_physical_layouts_agree_on_both_datasets() {
 fn factorized_linreg_matches_materialized_path() {
     let ds = favorita(6_000, 5);
     let features = ds.feature_refs();
-    let fact = linreg::moments_factorized(&ds.db, &features, &ds.label, Layout::MergedHash);
+    let fact = linreg::moments_factorized_cfg(
+        &ds.db,
+        &features,
+        &ds.label,
+        Layout::MergedHash,
+        ExecConfig::global(),
+    );
     let matrix = ds.db.materialize();
     let mat = linreg::moments_from_matrix(&matrix, &features, &ds.label);
     // Identical moments ⇒ identical models for any optimizer.
@@ -146,10 +163,24 @@ fn trained_model_beats_predicting_the_mean() {
     let train = ds.train();
     let test = ds.test_matrix();
     let features = ds.feature_refs();
-    let model = linreg::fit_factorized(&train, &features, &ds.label, Layout::MergedHash, 0.5, 300);
+    let model = linreg::fit_factorized_cfg(
+        &train,
+        &features,
+        &ds.label,
+        Layout::MergedHash,
+        0.5,
+        300,
+        ExecConfig::global(),
+    );
     let rmse = linreg_rmse(&model, &test, &ds.label);
     // Baseline: predict the training mean.
-    let moments = linreg::moments_factorized(&train, &features, &ds.label, Layout::MergedHash);
+    let moments = linreg::moments_factorized_cfg(
+        &train,
+        &features,
+        &ds.label,
+        Layout::MergedHash,
+        ExecConfig::global(),
+    );
     let mean = moments.xty[0] / moments.count;
     let mean_model = linreg::LinearModel {
         features: model.features.clone(),
@@ -232,7 +263,15 @@ fn trained_logistic_model_beats_chance() {
     let train = ds.train();
     let test = ds.test_matrix();
     let features = ds.feature_refs();
-    let model = logreg::fit_factorized(&train, &features, &ds.label, Layout::MergedHash, 0.5, 300);
+    let model = logreg::fit_factorized_cfg(
+        &train,
+        &features,
+        &ds.label,
+        Layout::MergedHash,
+        0.5,
+        300,
+        ExecConfig::global(),
+    );
     let auc = logreg_auc(&model, &test, &ds.label);
     let acc = logreg_accuracy(&model, &test, &ds.label);
     assert!(auc > 0.65, "held-out AUC {auc} should clearly beat 0.5");
@@ -271,7 +310,13 @@ fn interpreter_validates_the_extracted_batch() {
         &ifaq_ir::parser::parse_expr("sum(x in dom(Q)) Q(x) * x.oilprice * x.unit_sales").unwrap(),
     )
     .unwrap();
-    let m = linreg::moments_factorized(&ds.db, &["oilprice"], &ds.label, Layout::MergedHash);
+    let m = linreg::moments_factorized_cfg(
+        &ds.db,
+        &["oilprice"],
+        &ds.label,
+        Layout::MergedHash,
+        ExecConfig::global(),
+    );
     // xty[1] = Σ oilprice · unit_sales.
     let engine_val = m.xty[1];
     let interp_f = interp_val.as_f64().unwrap();

@@ -19,9 +19,7 @@
 
 use ifaq_datagen::{favorita, retailer, Dataset};
 use ifaq_engine::layout::{execute_with, prepare};
-use ifaq_engine::stream::{
-    execute_streaming, peak_live_chunks_ever, prepare_streaming, StreamSource, READER_DEPTH,
-};
+use ifaq_engine::stream::{execute_streaming, prepare_streaming, StreamSource, READER_DEPTH};
 use ifaq_engine::{ExecConfig, Layout, StarDb};
 use ifaq_ml::{linreg, logreg};
 use ifaq_query::batch::covar_batch;
@@ -247,7 +245,7 @@ fn full_training_run_never_holds_the_fact_table() {
     // A complete linreg + logreg training run against the export, at a
     // chunk size that splits the fact table into far more chunks than
     // the reader pool holds — the fact table is never fully resident,
-    // and the process-wide high-water mark proves the buffer stayed at
+    // and each source's high-water mark proves the buffer stayed at
     // `chunk_rows × (READER_DEPTH + 2)` rows throughout.
     let ds = favorita(1_400, 45);
     let features = ds.feature_refs();
@@ -287,14 +285,16 @@ fn full_training_run_never_holds_the_fact_table() {
     )
     .unwrap();
     assert!(log.weights.iter().all(|w| w.is_finite()));
-    // The bound held for every streamed pass of both training runs (and
-    // anything else this process streamed): never more than the pool.
-    let peak = peak_live_chunks_ever();
-    assert!(
-        0 < peak && peak <= READER_DEPTH + 2,
-        "peak {peak} live chunks vs pool bound {}",
-        READER_DEPTH + 2
-    );
+    // Each training run streamed, and the bound held for every one of
+    // its passes: never more than the pool.
+    for (name, source) in [("linreg", &src), ("logreg", &bin_src)] {
+        let peak = source.peak_live_chunks();
+        assert!(
+            0 < peak && peak <= READER_DEPTH + 2,
+            "{name}: peak {peak} live chunks vs pool bound {}",
+            READER_DEPTH + 2
+        );
+    }
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&bin_dir).unwrap();
 }
