@@ -562,6 +562,12 @@ impl Compiled {
         cfg: &ExecConfig,
     ) -> Result<Value, PipelineError> {
         let results = self.run_batch_prepared(db, prepared, cfg);
+        self.run_residual(&results)
+    }
+
+    /// Binds batch result `i` to `__agg<i>` and interprets the residual
+    /// program (which never touches the data).
+    fn run_residual(&self, results: &[f64]) -> Result<Value, PipelineError> {
         let mut env = Env::new();
         for (i, v) in results.iter().enumerate() {
             env.insert(Extraction::agg_var(i), Value::real(*v));
@@ -614,13 +620,7 @@ impl Compiled {
         cfg: &ExecConfig,
     ) -> Result<Value, PipelineError> {
         let results = self.run_batch_streamed(src, layout_choice, cfg)?;
-        let mut env = Env::new();
-        for (i, v) in results.iter().enumerate() {
-            env.insert(Extraction::agg_var(i), Value::real(*v));
-        }
-        Interpreter::with_max_iterations(1_000_000)
-            .run(&env, &self.program)
-            .map_err(|e| PipelineError::Eval(e.to_string()))
+        self.run_residual(&results)
     }
 
     /// Evaluates just the aggregate batch over the database.

@@ -10,10 +10,21 @@
 //! of completed iterations) and `_prev` (the loop variable's value at the
 //! start of the current iteration) — the concrete rendering of the paper's
 //! `not converged` condition.
+//!
+//! Access paths are evaluated by reference: a variable followed by any
+//! chain of field steps (`memo.f.g`, or `r[`f`]` with a field-name key)
+//! is resolved in place inside the environment, and only the value at
+//! the end of the path is copied. The same in-place resolution serves
+//! every operand that is only read — the base of an application or a
+//! field access, the argument of `dom`, a collection iterated by `Σ` or
+//! `λ` — so reading one entry of a large record or relation never copies
+//! the rest of it. A path that does not resolve is evaluated by value
+//! instead, so its error is the by-value evaluator's.
 
 use ifaq_ir::{BinOp, CmpOp, Const, Expr, Program, Sym, UnOp};
 use ifaq_storage::value::{EvalError, VResult};
 use ifaq_storage::{Dict, Value};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Variable environment.
@@ -61,12 +72,39 @@ impl Interpreter {
         }
     }
 
-    /// Returns a reference to the value of `e` when it is a plain
-    /// variable, avoiding a deep clone of large collection values.
+    /// The place resolver: the value of `e` in place inside `env` when
+    /// `e` is an access path — a variable, then any chain of `.f` and
+    /// `[`f`]` steps whose keys are field names (static, or a variable
+    /// bound to one). `None` for every other expression and for every
+    /// path that does not resolve (unbound variable, missing field,
+    /// field access on a non-record, wrong variant tag); the caller then
+    /// evaluates `e` by value, which reports the error. Evaluates
+    /// nothing and allocates nothing on success.
     fn eval_ref<'a>(&self, env: &'a Env, e: &Expr) -> Option<&'a Value> {
         match e {
             Expr::Var(x) => env.get(x),
+            Expr::Field(a, n) => self.eval_ref(env, a)?.field_ref(n).ok(),
+            Expr::FieldDyn(a, k) => {
+                let key = match &**k {
+                    Expr::Const(Const::Field(f)) => f,
+                    k => match self.eval_ref(env, k)? {
+                        Value::Field(f) => f,
+                        _ => return None,
+                    },
+                };
+                self.eval_ref(env, a)?.field_ref(key).ok()
+            }
             _ => None,
+        }
+    }
+
+    /// `e` resolved in place when it is an access path ([`Self::eval_ref`]),
+    /// else evaluated by value — for operands that are only read (the base
+    /// of a field access or application, a `dom`, a collection iterated).
+    fn eval_base<'a>(&self, env: &'a Env, e: &Expr) -> Result<Cow<'a, Value>, EvalError> {
+        match self.eval_ref(env, e) {
+            Some(v) => Ok(Cow::Borrowed(v)),
+            None => self.eval(env, e).map(Cow::Owned),
         }
     }
 
@@ -97,19 +135,10 @@ impl Interpreter {
                 self.eval_un(*op, &v)
             }
             Expr::Sum { var, coll, body } => {
-                // Avoid deep-cloning variable-bound collections: iterate
-                // by reference when possible.
-                let owned;
-                let collection = match self.eval_ref(env, coll) {
-                    Some(v) => v,
-                    None => {
-                        owned = self.eval(env, coll)?;
-                        &owned
-                    }
-                };
+                let collection = self.eval_base(env, coll)?;
                 let mut acc = Value::zero();
                 let mut env2 = env.clone();
-                for item in iterate(collection)? {
+                for item in iterate(&collection)? {
                     env2.insert(var.clone(), item);
                     let v = self.eval(&env2, body)?;
                     acc = acc.add(&v)?;
@@ -117,17 +146,10 @@ impl Interpreter {
                 Ok(acc)
             }
             Expr::DictComp { var, dom, body } => {
-                let owned;
-                let domain = match self.eval_ref(env, dom) {
-                    Some(v) => v,
-                    None => {
-                        owned = self.eval(env, dom)?;
-                        &owned
-                    }
-                };
+                let domain = self.eval_base(env, dom)?;
                 let mut out = Dict::new();
                 let mut env2 = env.clone();
-                for key in iterate(domain)? {
+                for key in iterate(&domain)? {
                     env2.insert(var.clone(), key.clone());
                     let v = self.eval(&env2, body)?;
                     out.insert(key, v);
@@ -150,34 +172,16 @@ impl Interpreter {
                 }
                 Ok(Value::Set(out))
             }
-            Expr::Dom(a) => {
-                let owned;
-                let av = match self.eval_ref(env, a) {
-                    Some(v) => v,
-                    None => {
-                        owned = self.eval(env, a)?;
-                        &owned
-                    }
-                };
-                match av {
-                    Value::Dict(d) => Ok(Value::Set(d.domain())),
-                    other => Err(EvalError::new(format!("dom() of {}", other.kind()))),
-                }
-            }
+            Expr::Dom(a) => match &*self.eval_base(env, a)? {
+                Value::Dict(d) => Ok(Value::Set(d.domain())),
+                other => Err(EvalError::new(format!("dom() of {}", other.kind()))),
+            },
             Expr::Apply(f, k) => {
-                // By-reference lookup for variable-bound dictionaries —
-                // cloning a relation per application would make every
-                // aggregate quadratic.
-                let owned;
-                let fv = match self.eval_ref(env, f) {
-                    Some(v) => v,
-                    None => {
-                        owned = self.eval(env, f)?;
-                        &owned
-                    }
-                };
+                // Look up in place — cloning a relation per application
+                // would make every aggregate quadratic.
+                let fv = self.eval_base(env, f)?;
                 let kv = self.eval(env, k)?;
-                match fv {
+                match &*fv {
                     Value::Dict(d) => Ok(d.get_or_zero(&kv)),
                     other => Err(EvalError::new(format!(
                         "application of {} (not a dictionary)",
@@ -193,11 +197,11 @@ impl Interpreter {
                 Ok(Value::record(fields))
             }
             Expr::Variant(n, a) => Ok(Value::Variant(n.clone(), Box::new(self.eval(env, a)?))),
-            Expr::Field(a, n) => self.eval(env, a)?.get_field(n),
+            Expr::Field(a, n) => self.eval_base(env, a)?.get_field(n),
             Expr::FieldDyn(a, k) => {
-                let base = self.eval(env, a)?;
+                let base = self.eval_base(env, a)?;
                 let key = self.eval(env, k)?;
-                match (&base, &key) {
+                match (&*base, &key) {
                     (_, Value::Field(f)) => base.get_field(f),
                     (Value::Dict(d), _) => Ok(d.get_or_zero(&key)),
                     _ => Err(EvalError::new(format!(
@@ -510,6 +514,92 @@ mod tests {
         assert!(eval_expr(&Env::new(), &parse_expr("1(2)").unwrap()).is_err());
         assert!(eval_expr(&Env::new(), &parse_expr("sum(x in 3) x").unwrap()).is_err());
         assert!(eval_expr(&Env::new(), &parse_expr("if 3 then 1 else 2").unwrap()).is_err());
+    }
+
+    fn eval_err(src: &str) -> String {
+        eval_expr(&Env::new(), &parse_expr(src).unwrap())
+            .unwrap_err()
+            .message
+    }
+
+    #[test]
+    fn nested_field_path_resolves_in_place() {
+        assert_eq!(eval("let r = {a = {b = 2.0}} in r.a.b"), Value::real(2.0));
+        // The resolver hands back the leaf inside the environment itself.
+        let mut env = Env::new();
+        env.insert(
+            Sym::new("r"),
+            Value::record([("a", Value::record([("b", Value::real(2.0))]))]),
+        );
+        let leaf = env[&Sym::new("r")]
+            .field_ref(&Sym::new("a"))
+            .and_then(|a| a.field_ref(&Sym::new("b")))
+            .unwrap();
+        let path = parse_expr("r.a.b").unwrap();
+        let resolved = Interpreter::default().eval_ref(&env, &path).unwrap();
+        assert!(std::ptr::eq(resolved, leaf));
+    }
+
+    #[test]
+    fn variant_field_path_and_wrong_tag() {
+        assert_eq!(eval("let v = {w = <t = 9>} in v.w.t"), Value::Int(9));
+        assert_eq!(
+            eval_err("let v = {w = <t = 9>} in v.w.u"),
+            "variant has tag `t`, not `u`"
+        );
+    }
+
+    #[test]
+    fn path_errors_match_by_value_evaluation() {
+        assert_eq!(
+            eval_err("let r = {a = {b = 1}} in r.a.x"),
+            "no field `x` in record"
+        );
+        assert_eq!(
+            eval_err("let r = {a = 1.5} in r.a.b"),
+            "field access on real"
+        );
+        assert_eq!(eval_err("{a = {b = 1}}.a.x"), "no field `x` in record");
+        assert_eq!(eval_err("(1.5).b"), "field access on real");
+        assert_eq!(eval_err("r.a"), "unbound variable `r`");
+        assert_eq!(eval_err("let r = {a = 1} in r[k]"), "unbound variable `k`");
+    }
+
+    #[test]
+    fn field_dyn_with_field_key_resolves_in_place() {
+        assert_eq!(
+            eval("let r = {a = 1, b = {c = 3.5}} in r[`b`][`c`]"),
+            Value::real(3.5)
+        );
+        assert_eq!(
+            eval("let r = {a = 1, b = {c = 3.5}} in let k = `b` in r[k].c"),
+            Value::real(3.5)
+        );
+        assert_eq!(
+            eval_err("let r = {a = 1} in r[`z`]"),
+            "no field `z` in record"
+        );
+        // A non-field key on a dictionary is a lookup, not a path step.
+        assert_eq!(
+            eval("let r = {d = {|1 -> 5|}} in r.d[1] + r.d[2]"),
+            Value::Int(5)
+        );
+    }
+
+    #[test]
+    fn apply_over_nested_path() {
+        assert_eq!(
+            eval("let r = {a = {d = {|1 -> 5|}}} in r.a.d(1)"),
+            Value::Int(5)
+        );
+        assert_eq!(
+            eval("let r = {a = {d = {|1 -> 5|}}} in r.a.d(2)"),
+            Value::zero()
+        );
+        assert_eq!(
+            eval("let r = {a = {d = {|1 -> 5|}}} in sum(k in dom(r.a.d)) k"),
+            Value::Int(1)
+        );
     }
 
     #[test]

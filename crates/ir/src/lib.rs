@@ -11,8 +11,9 @@
 //!   dynamically-typed dialect (D-IFAQ) and the statically-typed dialect
 //!   (S-IFAQ). The dialects differ only in the typing discipline, which is
 //!   enforced by [`types::TypeChecker`].
-//! * [`sym::Sym`] — interned identifiers, plus a `gensym` facility used by
-//!   capture-avoiding substitution.
+//! * [`sym::Sym`] — identifiers (a shared `Arc<str>` compared by
+//!   content), plus a `gensym` facility used by capture-avoiding
+//!   substitution.
 //! * [`vars`] — free variables and capture-avoiding substitution.
 //! * [`rewrite`] — a rule-based rewriting framework with bottom-up /
 //!   top-down fixpoint drivers and per-rule firing traces. All optimization

@@ -1,16 +1,20 @@
-//! Interned identifiers.
+//! Identifiers.
 //!
 //! Symbols name variables, record fields, and relations throughout the
-//! compiler. They are cheaply cloneable (`Arc<str>` internally), totally
-//! ordered, and hashable, so they can key `BTreeMap`s in deterministic
-//! compiler passes.
+//! compiler. They are not interned: each [`Sym::new`] allocates its own
+//! `Arc<str>`, and equality, ordering and hashing compare the text, so
+//! two symbols built from the same name are equal without sharing
+//! storage. Cloning a symbol is cheap (a reference-count bump); the
+//! total order lets symbols key `BTreeMap`s in deterministic compiler
+//! passes.
 
 use std::borrow::Borrow;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// An interned identifier (variable, field, or relation name).
+/// An identifier (variable, field, or relation name): a shared
+/// `Arc<str>` compared by content.
 ///
 /// ```
 /// use ifaq_ir::sym::Sym;

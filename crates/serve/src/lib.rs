@@ -37,8 +37,10 @@
 //! insert/delete pairs *within* one batch cancel before any execution,
 //! so a delete-then-reinsert of the same row is a bitwise no-op — not
 //! merely a numerical one. Validation (arity, integer-key domains,
-//! delete matching) completes before any state is touched: a rejected
-//! batch leaves the engine exactly as it was.
+//! finite measures, delete matching) completes before any state is
+//! touched: a rejected batch leaves the engine exactly as it was. A NaN
+//! or infinite measure is refused because subtracting it back out of
+//! the totals cannot undo it.
 //!
 //! ## Staleness
 //!
@@ -168,6 +170,14 @@ pub enum ServeError {
         /// The offending value.
         value: f64,
     },
+    /// A value destined for a measure (non-integer) column is NaN or
+    /// infinite.
+    NonFinite {
+        /// The measure attribute.
+        attr: String,
+        /// The offending value.
+        value: f64,
+    },
     /// A delete names a row the fact table does not currently store
     /// (after in-batch cancellation).
     NoSuchRow {
@@ -187,6 +197,9 @@ impl fmt::Display for ServeError {
             }
             ServeError::NonIntegerKey { attr, value } => {
                 write!(f, "integer column `{attr}` cannot store {value}")
+            }
+            ServeError::NonFinite { attr, value } => {
+                write!(f, "measure column `{attr}` cannot store {value}")
             }
             ServeError::NoSuchRow { row } => {
                 write!(f, "delete does not match any stored fact row: {row:?}")
@@ -544,9 +557,17 @@ impl ServeEngine {
                 });
             }
             for (j, &v) in row.iter().enumerate() {
-                if self.int_cols[j] && !(v.fract() == 0.0 && (v as i64) as f64 == v) {
-                    return Err(ServeError::NonIntegerKey {
-                        attr: st.db.fact.attrs[j].to_string(),
+                let attr = || st.db.fact.attrs[j].to_string();
+                if self.int_cols[j] {
+                    if !(v.fract() == 0.0 && (v as i64) as f64 == v) {
+                        return Err(ServeError::NonIntegerKey {
+                            attr: attr(),
+                            value: v,
+                        });
+                    }
+                } else if !v.is_finite() {
+                    return Err(ServeError::NonFinite {
+                        attr: attr(),
                         value: v,
                     });
                 }
@@ -945,6 +966,41 @@ mod tests {
             }
             other => panic!("wrong error: {other}"),
         }
+    }
+
+    #[test]
+    fn non_finite_measures_are_rejected_without_side_effects() {
+        let e = engine();
+        let stored = e.db_snapshot();
+        let first: Vec<f64> = stored.fact.columns.iter().map(|c| c.get_f64(0)).collect();
+        let mut inf_first = first.clone();
+        inf_first[2] = f64::INFINITY;
+        let before = e.snapshot();
+        let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (delta, value) in [
+            (
+                DeltaBatch::from_inserts([row(1.0, 2.0, f64::NAN)]),
+                f64::NAN,
+            ),
+            (DeltaBatch::new().delete(inf_first), f64::INFINITY),
+        ] {
+            match e.apply_delta(&delta).unwrap_err() {
+                ServeError::NonFinite { attr, value: got } => {
+                    assert_eq!(attr, "units");
+                    assert_eq!(got.to_bits(), value.to_bits());
+                }
+                other => panic!("wrong error: {other}"),
+            }
+            let after = e.snapshot();
+            assert_eq!(bits(&after.totals), bits(&before.totals));
+            assert_eq!(after.generation, before.generation);
+            assert_eq!(after.fact_rows, before.fact_rows);
+        }
+        // The engine still takes a valid delta afterwards.
+        let report = e.apply_delta(&DeltaBatch::new().delete(first)).unwrap();
+        assert_eq!(report.deleted, 1);
+        assert_eq!(e.fact_rows(), before.fact_rows - 1);
+        assert!(e.totals().iter().all(|t| t.is_finite()));
     }
 
     #[test]

@@ -127,17 +127,24 @@ impl Value {
         }
     }
 
-    /// Record field access.
+    /// Record field access: a copy of the field's value (of the payload,
+    /// for a variant whose tag is `name`).
     pub fn get_field(&self, name: &Sym) -> VResult {
+        self.field_ref(name).cloned()
+    }
+
+    /// [`Value::get_field`] by reference: the field's value in place,
+    /// with the same errors.
+    pub fn field_ref(&self, name: &Sym) -> Result<&Value, EvalError> {
         match self {
             Value::Record(fs) => fs
                 .iter()
                 .find(|(n, _)| n == name)
-                .map(|(_, v)| v.clone())
+                .map(|(_, v)| v)
                 .ok_or_else(|| EvalError::new(format!("no field `{name}` in record"))),
             Value::Variant(n, v) => {
                 if n == name {
-                    Ok((**v).clone())
+                    Ok(v)
                 } else {
                     Err(EvalError::new(format!(
                         "variant has tag `{n}`, not `{name}`"
